@@ -5,8 +5,8 @@ export PYTHONPATH := src
 	trace-smoke scenario-smoke
 
 # The one gate: repro lint --changed + ruff (when installed) + tier-1
-# pytest (which includes the full-tree lint gate) + the structural
-# macro-bench check + the sweep smoke matrix.
+# pytest (which includes the full-tree lint gate) + the E01-E24 paper
+# claims + the structural macro-bench check + the sweep smoke matrix.
 verify:
 	$(PYTHON) -m repro verify
 

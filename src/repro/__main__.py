@@ -5,7 +5,6 @@ Commands
 ``designs``     print the three §4 designs' budgets and comparison table
 ``table1``      regenerate the paper's Table 1 from the calibrated feeds
 ``figure2``     regenerate Figure 2's headline statistics
-``roundtrip``   run the Design 1 and Design 3 testbeds and compare
 ``run``         execute one run from a SystemSpec and print its summary
 ``scenario``    run a named chaos scenario (deterministic failure injection)
 ``trace``       run with telemetry and print the per-hop decomposition
@@ -14,7 +13,7 @@ Commands
 ``bench``       macro benchmark: whole-testbed events/s into BENCH_perf.json
 ``scoreboard``  run every reproduction bench (the full scoreboard)
 ``lint``        run the repro.lint static-analysis rules over the tree
-``verify``      run all the gates (lint, ruff, pytest, bench, sweep + trace smoke)
+``verify``      run all the gates (lint, ruff, pytest, paper claims, bench, smokes)
 
 Every run-shaped command (``run``, ``trace``, ``report``, ``sweep``)
 accepts ``--spec FILE`` — a :class:`~repro.core.config.SystemSpec` JSON
@@ -127,24 +126,6 @@ def _cmd_figure2(args) -> int:
         print("\nwrote plot series:")
         for path in paths:
             print(f"  {path}")
-    return 0
-
-
-def _cmd_roundtrip(args) -> int:
-    from repro.core import build_system
-    from repro.sim.kernel import MILLISECOND, format_ns
-
-    for label, design in (
-        ("design1 (leaf-spine)", "design1"),
-        ("design3 (L1S)", "design3"),
-    ):
-        system = build_system(design=design, seed=args.seed)
-        system.run(args.ms * MILLISECOND)
-        stats = system.roundtrip_stats()
-        print(f"{label:<22}: median {format_ns(int(stats.median))}, "
-              f"p99 {format_ns(int(stats.p99))}  (n={stats.count})")
-    print("paper model: design1 = 12 us (12 hops x 500 ns + 3 x 2 us); the "
-          "~6 us delta between rows is the commodity switch time")
     return 0
 
 
@@ -276,8 +257,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     """Chain the gates: repro lint, ruff (if present), tier-1 pytest, the
-    structural macro-bench check (bench runs + BENCH_perf.json shape), and
-    the sweep smoke matrix with its workers=1-vs-N determinism check."""
+    E01-E24 paper claims, the structural macro-bench check (bench runs +
+    BENCH_perf.json shape), the sweep smoke matrix with its
+    workers=1-vs-N determinism check, and the scenario and trace smokes."""
     import os
     import shutil
     import subprocess
@@ -299,6 +281,19 @@ def _cmd_verify(args) -> int:
     else:
         print("verify: ruff not installed; skipping the style gate")
     steps.append(("pytest (tier 1)", [sys.executable, "-m", "pytest", "-x", "-q"]))
+    # The paper-claim checks (E01-E24): a refactor that moves a measured
+    # claim out of its band fails here, not only at scoreboard time. The
+    # perf benches are left to `make scoreboard`: they rewrite the
+    # committed BENCH_perf.json with this host's numbers.
+    steps.append(
+        (
+            "paper claims",
+            [
+                sys.executable, "-m", "pytest", "benchmarks", "--benchmark-disable",
+                "--ignore-glob=benchmarks/test_perf_*", "-q",
+            ],
+        )
+    )
     steps.append(
         ("bench check", [sys.executable, "-m", "repro", "bench", "--check"])
     )
@@ -424,10 +419,6 @@ def main(argv: list[str] | None = None) -> int:
     f2.add_argument("--seed", type=int, default=7)
     f2.add_argument("--csv", help="also write the plot series as CSV into DIR")
 
-    rt = sub.add_parser("roundtrip", help="simulate the round trip end to end")
-    rt.add_argument("--seed", type=int, default=7)
-    rt.add_argument("--ms", type=int, default=40, help="simulated milliseconds")
-
     _SPEC_HELP = "path to a SystemSpec JSON file (overrides the other flags)"
     _DESIGN_HELP = (
         'design name, number, or alias: "design1"/"leaf_spine", "3", '
@@ -531,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("scoreboard", help="run all reproduction benches")
 
     verify = sub.add_parser(
-        "verify", help="run lint + ruff + tier-1 pytest + bench check as one gate"
+        "verify", help="run lint + ruff + tier-1 pytest + paper claims + bench check as one gate"
     )
     verify.add_argument(
         "--keep-going", action="store_true",
@@ -550,7 +541,6 @@ def main(argv: list[str] | None = None) -> int:
         "designs": _cmd_designs,
         "table1": _cmd_table1,
         "figure2": _cmd_figure2,
-        "roundtrip": _cmd_roundtrip,
         "run": _cmd_run,
         "scenario": _cmd_scenario,
         "trace": _cmd_trace,

@@ -21,13 +21,13 @@ from __future__ import annotations
 import fnmatch
 
 from repro.chaos.spec import FaultSpec, parse_faults
-from repro.chaos.targets import collect_targets
+from repro.chaos.targets import devices_of, targets_on
 from repro.firm.feedhandler import FeedHandler
 from repro.firm.lifecycle import FirmLifecycle, FleetView
 from repro.firm.managed import ManagedStrategy
 from repro.sim.process import Component
 
-# FaultSpec.kind -> device map key in collect_targets()'s result.
+# FaultSpec.kind -> device map key in targets_on()'s result.
 _KIND_DEVICE = {
     "link_down": "link",
     "link_loss": "link",
@@ -50,14 +50,18 @@ class _Window:
 
 
 class ChaosController(Component):
-    """Schedules every fault window and aggregates the run's chaos facts."""
+    """Schedules every fault window and aggregates the run's chaos facts.
+
+    ``system`` is the built system the faults land on. Its devices are
+    looked up in ``sim``'s registry, not through its handles.
+    """
 
     def __init__(self, sim, system, faults: tuple[FaultSpec, ...]):
         super().__init__(sim, "chaos")
         self.faults = faults
         self.windows: list[_Window] = []
         self.lifecycles: list[FirmLifecycle] = []
-        targets = collect_targets(system)
+        targets = targets_on(sim)
         for fault in faults:
             pool = targets[_KIND_DEVICE[fault.kind]]
             matched = sorted(fnmatch.filter(pool, fault.target))
@@ -165,33 +169,8 @@ def install_chaos(system, spec) -> ChaosController:
 
 def _wire_lifecycles(system) -> list[FirmLifecycle]:
     """One lifecycle machine per feed handler; order gates per strategy."""
-    handlers: dict[str, FeedHandler] = {}
-    seen: set[int] = set()
-    frontier = [system]
+    handlers = devices_of(system.sim, FeedHandler)
     machines: list[FirmLifecycle] = []
-    while frontier:
-        obj = frontier.pop()
-        if id(obj) in seen:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, FeedHandler):
-            handlers[obj.name] = obj
-            continue
-        if isinstance(obj, dict):
-            frontier.extend(obj.values())
-            continue
-        if isinstance(obj, (list, tuple)):
-            frontier.extend(obj)
-            continue
-        module = type(obj).__module__ or ""
-        if module.startswith("repro."):
-            attrs = getattr(obj, "__dict__", None)
-            if attrs:
-                frontier.extend(
-                    value
-                    for name, value in attrs.items()
-                    if not name.startswith("_") and name != "sim"
-                )
     for name in sorted(handlers):
         handler = handlers[name]
         machine = FirmLifecycle(handler.sim, f"lifecycle.{name}", handler)

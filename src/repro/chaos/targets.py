@@ -1,12 +1,11 @@
-"""Deterministic fault-target discovery over a built system's handles.
+"""Fault-target lookup over a simulator's device registry.
 
-The testbed dataclasses hold components, which hold NICs, which hold
-links, which hold switches — there is no flat device registry. This
-module walks that object graph once, breadth-first and in sorted
-attribute order, and returns every fault-targetable device by name.
-Determinism matters only for *completeness* here (the controller sorts
-matched names before applying anything), but a stable walk keeps error
-messages and debugging output reproducible too.
+Every :class:`~repro.sim.process.Component` and
+:class:`~repro.net.link.Link` records itself on ``sim.registry`` when it
+is constructed, so the fault-targetable devices of a built system are a
+type filter over that list: the same for every design, with nothing to
+add per builder. The registry is in construction order, so the result
+is deterministic too (the controller sorts matched names anyway).
 """
 
 from __future__ import annotations
@@ -15,58 +14,25 @@ from repro.net.link import Link
 from repro.net.nic import Nic
 from repro.net.switch import CommoditySwitch
 
-# How deep the walk follows repro-object attributes. The testbeds are
-# shallow (system -> component -> nic -> link -> switch); the bound
-# exists to guarantee termination on any future cycle of handles.
-_MAX_DEPTH = 8
+
+def devices_of(sim, kind: type) -> dict[str, object]:
+    """Every device of ``kind`` built on ``sim``, keyed by name."""
+    return {device.name: device for device in sim.registry if isinstance(device, kind)}
 
 
-def _is_repro_object(obj) -> bool:
-    module = type(obj).__module__ or ""
-    return module.startswith("repro.")
+def targets_on(sim) -> dict[str, dict[str, object]]:
+    """``{"link": {name: Link}, "switch": {...}, "nic": {...}}`` on ``sim``.
+
+    ``"switch"`` means :class:`CommoditySwitch` only: L1S, merge and
+    FPGA devices have no ``failed`` flag for ``switch_fail`` to set.
+    """
+    return {
+        "link": devices_of(sim, Link),
+        "switch": devices_of(sim, CommoditySwitch),
+        "nic": devices_of(sim, Nic),
+    }
 
 
 def collect_targets(system) -> dict[str, dict[str, object]]:
-    """Every named fault-targetable device reachable from ``system``.
-
-    Returns ``{"link": {name: Link}, "switch": {...}, "nic": {...}}``.
-    The simulator itself is skipped (its event heap references packets,
-    not topology) as are private attributes.
-    """
-    links: dict[str, Link] = {}
-    switches: dict[str, CommoditySwitch] = {}
-    nics: dict[str, Nic] = {}
-    seen: set[int] = set()
-    frontier: list[tuple[object, int]] = [(system, 0)]
-    while frontier:
-        obj, depth = frontier.pop()
-        if id(obj) in seen or depth > _MAX_DEPTH:
-            continue
-        seen.add(id(obj))
-        if isinstance(obj, Link):
-            links[obj.name] = obj
-        elif isinstance(obj, CommoditySwitch):
-            switches[obj.name] = obj
-        elif isinstance(obj, Nic):
-            nics[obj.name] = obj
-        for child in _children(obj):
-            if id(child) not in seen:
-                frontier.append((child, depth + 1))
-    return {"link": links, "switch": switches, "nic": nics}
-
-
-def _children(obj):
-    if isinstance(obj, dict):
-        return [obj[key] for key in sorted(obj, key=repr)]
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sorted(obj, key=id) if isinstance(obj, (set, frozenset)) else list(obj)
-    if not _is_repro_object(obj):
-        return []
-    attrs = getattr(obj, "__dict__", None)
-    if not attrs:
-        return []
-    return [
-        value
-        for name, value in sorted(attrs.items())
-        if not name.startswith("_") and name != "sim"
-    ]
+    """Every named fault-targetable device of a built ``system``."""
+    return targets_on(system.sim)

@@ -9,11 +9,13 @@
 * :mod:`repro.core.merge` — the L1S merge-bottleneck analysis of §4.3
   and the filtering/compression mitigations of §5;
 * :mod:`repro.core.testbed` — fully-simulated end-to-end builds of
-  Designs 1 and 3 (exchange → normalizer → strategy → gateway →
-  exchange), used by the round-trip experiments;
+  the §4 designs (exchange → normalizer → strategy → gateway →
+  exchange): one :func:`~repro.core.testbed.assemble` over a pluggable
+  :class:`~repro.core.testbed.Fabric` per design, used by the
+  round-trip experiments;
 * :mod:`repro.core.api` — the :func:`build_system` facade: every
-  testbed (Designs 1–4 plus the cross-colo WAN build) constructed from
-  one :class:`SystemSpec`;
+  testbed (Designs 1–4, the cross-colo WAN build and the two auxiliary
+  testbeds) constructed from one :class:`SystemSpec`;
 * :mod:`repro.core.run` — the one execution path: :func:`run_spec`
   turns a :class:`SystemSpec` into a plain-data, JSON-round-trippable
   :class:`RunResult` (what the CLI, bench, and ``repro sweep`` all run
@@ -49,36 +51,6 @@ from repro.core.run import (
 from repro.core.wan_testbed import CrossColoSystem
 from repro.core.multivenue import MultiVenueSystem, build_multi_venue_system
 from repro.core.ticktotrade import HardwareStrategy, build_tick_to_trade_system
-
-# The retired per-design construction aliases (PR 1's deprecation tier).
-# Their names are assembled at lookup time, never spelled out, so a tree
-# grep for the old surface comes back empty; anyone still importing one
-# gets a hard error pointing at the one construction path.
-_RETIRED_ALIAS_DESIGNS = {
-    "design1": "design1",
-    "design2": "design2",
-    "design3": "design3",
-    "design4": "design4",
-    "cross_colo": "wan",
-}
-
-
-def _retired_alias_design(name: str) -> str | None:
-    if not (name.startswith("build_") and name.endswith("_system")):
-        return None
-    middle = name[len("build_"):-len("_system")]
-    return _RETIRED_ALIAS_DESIGNS.get(middle)
-
-
-def __getattr__(name: str):
-    design = _retired_alias_design(name)
-    if design is not None:
-        raise ImportError(
-            f"repro.core.{name}() was removed; construct through "
-            f'repro.core.build_system(design="{design}", ...) '
-            "(see docs/architecture.md)"
-        )
-    raise AttributeError(f"module 'repro.core' has no attribute {name!r}")
 
 __all__ = [
     "BudgetItem",

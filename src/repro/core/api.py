@@ -40,7 +40,6 @@ _BUILDERS: dict[str, Callable[[SystemSpec], "TradingSystem"]] = {}
 _BUILDER_MODULES = (
     "repro.core.testbed",
     "repro.core.cloud",
-    "repro.core.testbed4",
     "repro.core.wan_testbed",
     "repro.core.multivenue",
     "repro.core.ticktotrade",
@@ -88,7 +87,7 @@ def available_designs() -> tuple[str, ...]:
 
 
 def build_system(spec: SystemSpec | None = None, **overrides):
-    """Build any of the five testbeds from one spec.
+    """Build any of the seven testbeds from one spec.
 
     ``spec`` may be omitted and the system described entirely by keyword
     overrides (``build_system(design="design4", seed=3)``); when both
@@ -97,7 +96,8 @@ def build_system(spec: SystemSpec | None = None, **overrides):
 
     Returns the built (not yet run) system: a
     :class:`~repro.core.testbed.TradingSystem` for the four colo
-    designs, a :class:`~repro.core.wan_testbed.CrossColoSystem` for
+    designs (each assembled by :func:`~repro.core.testbed.assemble`
+    over its fabric), a :class:`~repro.core.wan_testbed.CrossColoSystem` for
     ``design="wan"``, a :class:`~repro.core.multivenue.MultiVenueSystem`
     for ``design="multivenue"``, and a
     :class:`~repro.core.ticktotrade.TickToTradeSystem` for

@@ -1,16 +1,22 @@
-"""Fully-simulated end-to-end trading systems on Designs 1 and 3.
+"""Fully-simulated end-to-end trading systems on the §4 designs.
 
-These builders wire a complete loop — exchange → normalizers →
-strategies → gateways → exchange — over either a leaf-spine fabric
-(Design 1) or four layer-1 switch networks (Design 3), with ambient
-order flow driving the exchange. The round trip the paper analyzes is
-then *measured* (via client timestamps echoed to the exchange edge)
-rather than modeled.
+Every design runs the same loop — exchange → normalizers → strategies →
+gateway → exchange — with ambient order flow driving the exchange; the
+designs differ only in the network between those hops. :func:`assemble`
+builds the loop once, over a :class:`Fabric` that makes the endpoint
+NICs, wires the network between them, and joins NICs to multicast
+groups. Each design is then a short fabric definition: leaf-spine
+(Design 1, here), the equalized cloud (Design 2,
+:mod:`repro.core.cloud`), layer-1 switches (Design 3) and FPGA-enhanced
+layer-1 switches (Design 4). The round trip the paper analyzes is
+*measured* (via client timestamps echoed to the exchange edge) rather
+than modeled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.core.api import register_builder
 from repro.exchange.exchange import Exchange
@@ -19,16 +25,21 @@ from repro.firm.gateway import OrderGateway
 from repro.firm.normalizer import Normalizer
 from repro.firm.strategy import MomentumStrategy, Strategy
 from repro.net.addressing import EndpointAddress, MulticastGroup
+from repro.net.fpga_l1s import FilteringL1Switch
 from repro.net.l1switch import Layer1Switch, MergeUnit
-from repro.net.link import Link
+from repro.net.link import Link, PacketSink
 from repro.net.multicast import MulticastFabric
 from repro.net.nic import HostStack, Nic
-from repro.net.topology import LeafSpineTopology, build_leaf_spine
 from repro.net.routing import compute_unicast_routes
+from repro.net.topology import LeafSpineTopology, build_leaf_spine
 from repro.sim.kernel import MICROSECOND, MILLISECOND, Simulator
 from repro.timing.latency import LatencyRecorder, LatencyStats, summarize
 from repro.workload.orderflow import OrderFlowGenerator
 from repro.workload.symbols import SymbolUniverse, make_universe
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.cloud import CloudFabric
+    from repro.core.config import SystemSpec
 
 EXCHANGE_ID = 1
 EXCHANGE_KEY = f"exch{EXCHANGE_ID}"  # how strategies address the venue
@@ -36,7 +47,13 @@ EXCHANGE_KEY = f"exch{EXCHANGE_ID}"  # how strategies address the venue
 
 @dataclass
 class TradingSystem:
-    """Handles to every component of a built system."""
+    """Handles to every component of a built system.
+
+    The network handles are filled by the design's fabric: ``topology``
+    and ``fabric`` on Design 1, ``cloud`` on Design 2, ``l1_switches``
+    and ``merge_units`` on Designs 3 and 4, ``fpga_switches`` on
+    Design 4.
+    """
 
     sim: Simulator
     exchange: Exchange
@@ -48,8 +65,10 @@ class TradingSystem:
     universe: SymbolUniverse
     topology: LeafSpineTopology | None = None
     fabric: MulticastFabric | None = None
+    cloud: CloudFabric | None = None
     l1_switches: list[Layer1Switch] = field(default_factory=list)
     merge_units: list[MergeUnit] = field(default_factory=list)
+    fpga_switches: list[FilteringL1Switch] = field(default_factory=list)
 
     def run(self, duration_ns: int = 50 * MILLISECOND) -> None:
         """Start the flow and run the simulation for ``duration_ns``."""
@@ -75,8 +94,7 @@ def momentum_strategies(
 ) -> list[Strategy]:
     """One momentum strategy per server, each on a hot symbol.
 
-    Shared by every testbed builder in this package (leaf-spine, cloud,
-    L1S, FPGA-L1S, and cross-colo WAN).
+    Shared by :func:`assemble` and the cross-colo WAN builder.
     """
     hot = universe.most_active(len(md_nics))
     strategies: list[Strategy] = []
@@ -98,128 +116,195 @@ def momentum_strategies(
     return strategies
 
 
-def _build_design1(
-    seed: int = 1,
-    n_symbols: int = 12,
-    n_strategies: int = 3,
-    n_normalizers: int = 1,
-    flow_rate_per_s: float = 40_000.0,
-    exchange_partitions: int = 4,
-    firm_partitions: int = 8,
-    function_latency_ns: int = 2_000,
-    matching_latency_ns: int = 10_000,
-    telemetry: bool = False,
-) -> TradingSystem:
-    """A complete Design 1 system on a leaf-spine fabric.
-
-    Racks follow the §4.1 grouped-by-function layout: normalizers on one
-    leaf, strategies on another, gateways on a third, with the exchange
-    on its dedicated ToR — so every leg crosses 3 switch hops.
-    """
-    sim = Simulator(seed=seed, telemetry=telemetry)
-    universe = make_universe(n_symbols, seed=seed)
-    topo = build_leaf_spine(sim, n_racks=3, servers_per_rack=0, n_spines=2)
-    norm_leaf, strat_leaf, gw_leaf = topo.leaves[1], topo.leaves[2], topo.leaves[3]
-
-    # Exchange host on the dedicated ToR: feed NIC + orders NIC.
-    exchange_host = HostStack("exchange")
-    feed_nic = topo.attach_server(exchange_host, topo.exchange_leaf, "feed")
-    orders_nic = topo.attach_server(exchange_host, topo.exchange_leaf, "orders")
-
-    # Normalizer hosts: feed-in NIC + publish NIC.
-    norm_nics = []
-    for i in range(n_normalizers):
-        host = HostStack(f"norm{i}")
-        rx = topo.attach_server(host, norm_leaf, "md")
-        tx = topo.attach_server(host, norm_leaf, "pub")
-        norm_nics.append((rx, tx))
-
-    # Strategy hosts: market-data NIC + orders NIC.
-    strat_md, strat_orders = [], []
-    for i in range(n_strategies):
-        host = HostStack(f"strat{i}")
-        strat_md.append(topo.attach_server(host, strat_leaf, "md"))
-        strat_orders.append(topo.attach_server(host, strat_leaf, "orders"))
-
-    # Gateway host: strategy-side NIC + exchange-side NIC.
-    gw_host = HostStack("gw0")
-    gw_strat_nic = topo.attach_server(gw_host, gw_leaf, "strat")
-    gw_exch_nic = topo.attach_server(gw_host, gw_leaf, "exch")
-
-    compute_unicast_routes(topo)
-    fabric = MulticastFabric(topo)
-
-    exchange = Exchange(
-        sim,
-        EXCHANGE_KEY,
-        list(universe.names),
-        alphabetical_scheme(exchange_partitions),
-        feed_nic_a=feed_nic,
-        orders_nic=orders_nic,
-        matching_latency_ns=matching_latency_ns,
-        coalesce_window_ns=MICROSECOND,
-    )
-    for group in exchange.publisher.groups:
-        fabric.announce_server_source(group, feed_nic)
-
-    firm_scheme = hashed_scheme(firm_partitions)
-    normalizers = []
-    for i, (rx, tx) in enumerate(norm_nics):
-        normalizer = Normalizer(
-            sim, f"norm{i}", EXCHANGE_ID, rx, tx, "norm", firm_scheme,
-            function_latency_ns=function_latency_ns,
-        )
-        # Normalizers split the exchange feed: each owns a subset of the
-        # exchange's partitions (the partitioned-workload model of §3).
-        for group in exchange.publisher.groups:
-            if group.partition % n_normalizers == i:
-                normalizer.feed.subscribe(group, fabric)
-        for partition in range(firm_partitions):
-            fabric.announce_server_source(MulticastGroup("norm", partition), tx)
-        normalizers.append(normalizer)
-
-    gateway = OrderGateway(
-        sim, "gw0", gw_strat_nic, gw_exch_nic,
-        function_latency_ns=function_latency_ns,
-    )
-    gateway.connect_exchange(EXCHANGE_KEY, orders_nic.address)
-
-    recorder = LatencyRecorder()
-    strategies = momentum_strategies(
-        sim, universe, strat_md, strat_orders, gw_strat_nic.address,
-        recorder, function_latency_ns,
-    )
-    for strategy in strategies:
-        for partition in range(firm_partitions):
-            strategy.subscribe(MulticastGroup("norm", partition), fabric)
-
-    flow = OrderFlowGenerator(sim, "flow", exchange, universe, flow_rate_per_s)
-    return TradingSystem(
-        sim=sim, exchange=exchange, normalizers=normalizers,
-        strategies=strategies, gateway=gateway, flow=flow, recorder=recorder,
-        universe=universe, topology=topo, fabric=fabric,
-    )
-
-
 def standalone_nic(sim: Simulator, host: str, nic_name: str) -> Nic:
     """A NIC with no routed fabric behind it — L1S/cloud builders attach
     links (or fabric registrations) to it directly."""
     return Nic(sim, f"nic.{host}:{nic_name}", EndpointAddress(host, nic_name))
 
 
-def _build_design3(
-    seed: int = 1,
-    n_symbols: int = 12,
-    n_strategies: int = 3,
-    n_normalizers: int = 1,
-    flow_rate_per_s: float = 40_000.0,
-    exchange_partitions: int = 4,
-    firm_partitions: int = 8,
-    function_latency_ns: int = 2_000,
-    matching_latency_ns: int = 10_000,
-    telemetry: bool = False,
-) -> TradingSystem:
-    """A complete Design 3 system on four L1S networks.
+@dataclass
+class FirmNics:
+    """The endpoint NICs of the loop, as :func:`assemble` made them."""
+
+    exchange_feed: Nic
+    exchange_orders: Nic
+    norm_md: list[Nic]
+    norm_pub: list[Nic]
+    strat_md: list[Nic]
+    strat_orders: list[Nic]
+    gw_strat: Nic
+    gw_exch: Nic
+
+
+class Fabric:
+    """The network between the loop's hops; one subclass per design.
+
+    A fabric has three jobs: make the endpoint NIC for a host and role
+    (:meth:`nic`), wire the network once every NIC exists
+    (:meth:`wire`), and join a NIC to a multicast group (:meth:`join`,
+    which :meth:`FeedHandler.subscribe
+    <repro.firm.feedhandler.FeedHandler.subscribe>` and
+    :meth:`Strategy.subscribe <repro.firm.strategy.Strategy.subscribe>`
+    call). The defaults suit point-to-point networks: standalone NICs,
+    nothing to wire, and membership as a NIC filter only. ``handles``
+    collects the :class:`TradingSystem` fields the fabric fills.
+
+    The class flags are the per-design rules :func:`assemble` applies.
+    """
+
+    #: Run one normalizer whatever ``spec.n_normalizers`` says.
+    one_normalizer = False
+    #: The fabric carries the firm's own multicast. Without it the
+    #: normalizer sends one unicast copy per strategy and strategies
+    #: subscribe to nothing.
+    tenant_multicast = True
+    #: Honour ``spec.subscriptions_per_strategy``.
+    limits_subscriptions = False
+
+    def __init__(self, sim: Simulator, spec: SystemSpec):
+        self.sim = sim
+        self.spec = spec
+        self.handles: dict[str, object] = {}
+
+    def nic(self, host: str, role: str) -> Nic:
+        return standalone_nic(self.sim, host, role)
+
+    def wire(self, nics: FirmNics, exchange: Exchange) -> None:
+        """Build the network between ``nics``; called once all exist."""
+
+    def join(self, group: MulticastGroup, nic: Nic) -> None:
+        nic.join_group(group)
+
+    def link(self, name: str, end_a: PacketSink, end_b: PacketSink) -> Link:
+        """A default cross-connect, attached to whichever ends are NICs."""
+        link = Link(self.sim, name, end_a, end_b)
+        for end in (end_a, end_b):
+            if isinstance(end, Nic):
+                end.attach(link)
+        return link
+
+
+def assemble(spec: SystemSpec, fabric_type: type[Fabric]) -> TradingSystem:
+    """Build ``spec``'s firm stack over a ``fabric_type`` network.
+
+    Construction order is part of the result: multicast membership order
+    sets fan-out order, and fan-out order sets the kernel's tie-breaks.
+    """
+    sim = Simulator(seed=spec.seed, telemetry=spec.telemetry)
+    universe = make_universe(spec.n_symbols, seed=spec.seed)
+    fabric = fabric_type(sim, spec)
+    n_normalizers = 1 if fabric.one_normalizer else spec.n_normalizers
+
+    nic = fabric.nic
+    exchange_feed, exchange_orders = nic("exchange", "feed"), nic("exchange", "orders")
+    norms = [(nic(f"norm{i}", "md"), nic(f"norm{i}", "pub")) for i in range(n_normalizers)]
+    strats = [
+        (nic(f"strat{i}", "md"), nic(f"strat{i}", "orders"))
+        for i in range(spec.n_strategies)
+    ]
+    nics = FirmNics(
+        exchange_feed, exchange_orders,
+        norm_md=[md for md, _ in norms], norm_pub=[pub for _, pub in norms],
+        strat_md=[md for md, _ in strats], strat_orders=[orders for _, orders in strats],
+        gw_strat=nic("gw0", "strat"), gw_exch=nic("gw0", "exch"),
+    )
+
+    exchange = Exchange(
+        sim,
+        EXCHANGE_KEY,
+        list(universe.names),
+        alphabetical_scheme(spec.exchange_partitions),
+        feed_nic_a=exchange_feed,
+        orders_nic=exchange_orders,
+        matching_latency_ns=spec.matching_latency_ns,
+        coalesce_window_ns=MICROSECOND,
+    )
+    fabric.wire(nics, exchange)
+
+    if fabric.tenant_multicast:
+        firm_scheme, recipients = hashed_scheme(spec.firm_partitions), None
+    else:
+        # Partitioning buys nothing without multicast (§4.2).
+        firm_scheme = hashed_scheme(1)
+        recipients = [md.address for md in nics.strat_md]
+    normalizers = []
+    for i, (rx, tx) in enumerate(norms):
+        normalizer = Normalizer(
+            sim, f"norm{i}", EXCHANGE_ID, rx, tx, "norm", firm_scheme,
+            function_latency_ns=spec.function_latency_ns,
+            unicast_recipients=recipients,
+        )
+        # Normalizers split the exchange feed: each owns a subset of the
+        # exchange's partitions (the partitioned-workload model of §3).
+        for group in exchange.publisher.groups:
+            if group.partition % n_normalizers == i:
+                normalizer.feed.subscribe(group, fabric)
+        normalizers.append(normalizer)
+
+    gateway = OrderGateway(
+        sim, "gw0", nics.gw_strat, nics.gw_exch,
+        function_latency_ns=spec.function_latency_ns,
+    )
+    gateway.connect_exchange(EXCHANGE_KEY, exchange_orders.address)
+
+    recorder = LatencyRecorder()
+    strategies = momentum_strategies(
+        sim, universe, nics.strat_md, nics.strat_orders, nics.gw_strat.address,
+        recorder, spec.function_latency_ns,
+    )
+    if fabric.tenant_multicast:
+        wanted = spec.firm_partitions
+        if fabric.limits_subscriptions and spec.subscriptions_per_strategy is not None:
+            wanted = min(spec.subscriptions_per_strategy, wanted)
+        for strategy in strategies:
+            for partition in range(wanted):
+                strategy.subscribe(MulticastGroup("norm", partition), fabric)
+
+    flow = OrderFlowGenerator(sim, "flow", exchange, universe, spec.flow_rate_per_s)
+    return TradingSystem(
+        sim=sim, exchange=exchange, normalizers=normalizers,
+        strategies=strategies, gateway=gateway, flow=flow, recorder=recorder,
+        universe=universe, **fabric.handles,
+    )
+
+
+class LeafSpine(Fabric):
+    """Design 1: a leaf-spine fabric of commodity switches.
+
+    Racks follow the §4.1 grouped-by-function layout: normalizers on one
+    leaf, strategies on another, gateways on a third, with the exchange
+    on its dedicated ToR — so every leg crosses 3 switch hops.
+    """
+
+    def __init__(self, sim: Simulator, spec: SystemSpec):
+        super().__init__(sim, spec)
+        self.topology = build_leaf_spine(sim, n_racks=3, servers_per_rack=0, n_spines=2)
+        self.multicast = MulticastFabric(self.topology)
+        self.handles.update(topology=self.topology, fabric=self.multicast)
+        leaves = self.topology.leaves
+        self.racks = {
+            "exchange": leaves[0], "norm": leaves[1], "strat": leaves[2], "gw": leaves[3],
+        }
+
+    def nic(self, host: str, role: str) -> Nic:
+        stack = self.topology.hosts.get(host) or HostStack(host)
+        function = host.rstrip("0123456789")  # "strat2" racks with "strat"
+        return self.topology.attach_server(stack, self.racks[function], role)
+
+    def wire(self, nics: FirmNics, exchange: Exchange) -> None:
+        compute_unicast_routes(self.topology)
+        for group in exchange.publisher.groups:
+            self.multicast.announce_server_source(group, nics.exchange_feed)
+        for pub in nics.norm_pub:
+            for partition in range(self.spec.firm_partitions):
+                self.multicast.announce_server_source(MulticastGroup("norm", partition), pub)
+
+    def join(self, group: MulticastGroup, nic: Nic) -> None:
+        self.multicast.join(group, nic)
+
+
+class L1S(Fabric):
+    """Design 3: four layer-1 switch networks.
 
     * net A: exchange feed → every normalizer (pure fan-out);
     * net B: normalizer feeds → every strategy (fan-out; with more than
@@ -227,169 +312,114 @@ def _build_design3(
       strategy's single market-data NIC — §4.3's interface problem);
     * net C: strategies → gateway (merge), fills fan back out;
     * net D: gateway ↔ exchange order port (1:1 cross-connect).
+
+    Membership is physical wiring: every NIC on a fan-out sees every
+    frame, and the NIC filter keeps the groups it joined.
     """
-    sim = Simulator(seed=seed, telemetry=telemetry)
-    universe = make_universe(n_symbols, seed=seed)
-    recorder = LatencyRecorder()
 
-    exchange_feed_nic = standalone_nic(sim, "exchange", "feed")
-    exchange_orders_nic = standalone_nic(sim, "exchange", "orders")
+    def __init__(self, sim: Simulator, spec: SystemSpec):
+        super().__init__(sim, spec)
+        self.l1_switches: list[Layer1Switch] = []
+        self.merge_units: list[MergeUnit] = []
+        self.handles.update(l1_switches=self.l1_switches, merge_units=self.merge_units)
 
-    norm_nics = [
-        (standalone_nic(sim, f"norm{i}", "md"), standalone_nic(sim, f"norm{i}", "pub"))
-        for i in range(n_normalizers)
-    ]
-    strat_md = [standalone_nic(sim, f"strat{i}", "md") for i in range(n_strategies)]
-    strat_orders = [
-        standalone_nic(sim, f"strat{i}", "orders") for i in range(n_strategies)
-    ]
-    gw_strat_nic = standalone_nic(sim, "gw0", "strat")
-    gw_exch_nic = standalone_nic(sim, "gw0", "exch")
+    def wire(self, nics: FirmNics, exchange: Exchange) -> None:
+        self.wire_market_data(nics)
+        self.wire_orders(nics)
 
-    l1s: list[Layer1Switch] = []
-    merges: list[MergeUnit] = []
+    def layer1(self, name: str) -> Layer1Switch:
+        switch = Layer1Switch(self.sim, name)
+        self.l1_switches.append(switch)
+        return switch
 
-    # --- net A: exchange feed -> normalizers -------------------------------
-    l1s_a = Layer1Switch(sim, "l1s-a")
-    l1s.append(l1s_a)
-    feed_in = Link(sim, "a.exchange", exchange_feed_nic, l1s_a)
-    exchange_feed_nic.attach(feed_in)
-    norm_legs = []
-    for i, (rx, _tx) in enumerate(norm_nics):
-        leg = Link(sim, f"a.norm{i}", l1s_a, rx)
-        rx.attach(leg)
-        norm_legs.append(leg)
-    l1s_a.set_fanout(feed_in, norm_legs)
+    def merge(self, name: str) -> MergeUnit:
+        unit = MergeUnit(self.sim, name)
+        self.merge_units.append(unit)
+        return unit
 
-    # --- net B: normalizers -> strategies ----------------------------------
-    l1s_b = Layer1Switch(sim, "l1s-b")
-    l1s.append(l1s_b)
-    if n_normalizers == 1:
-        pub_in = Link(sim, "b.norm0", norm_nics[0][1], l1s_b)
-        norm_nics[0][1].attach(pub_in)
-        strat_legs = []
-        for i, md in enumerate(strat_md):
-            leg = Link(sim, f"b.strat{i}", l1s_b, md)
-            md.attach(leg)
-            strat_legs.append(leg)
-        l1s_b.set_fanout(pub_in, strat_legs)
-    else:
-        pub_ins = []
-        for i, (_rx, tx) in enumerate(norm_nics):
-            pub_in = Link(sim, f"b.norm{i}", tx, l1s_b)
-            tx.attach(pub_in)
-            pub_ins.append(pub_in)
-        per_strategy_legs: list[list[Link]] = [[] for _ in strat_md]
-        for s, md in enumerate(strat_md):
-            merge = MergeUnit(sim, f"merge-b.strat{s}")
-            merges.append(merge)
-            out = Link(sim, f"b.merge{s}.out", merge, md)
-            md.attach(out)
-            merge.set_output(out)
-            for n in range(n_normalizers):
-                leg = Link(sim, f"b.n{n}.s{s}", l1s_b, merge)
+    def wire_market_data(self, nics: FirmNics) -> None:
+        """Nets A and B."""
+        l1s_a = self.layer1("l1s-a")
+        feed_in = self.link("a.exchange", nics.exchange_feed, l1s_a)
+        norm_legs = [self.link(f"a.norm{i}", l1s_a, rx) for i, rx in enumerate(nics.norm_md)]
+        l1s_a.set_fanout(feed_in, norm_legs)
+
+        l1s_b = self.layer1("l1s-b")
+        pub_ins = [self.link(f"b.norm{n}", tx, l1s_b) for n, tx in enumerate(nics.norm_pub)]
+        if len(pub_ins) == 1:
+            strat_legs = [
+                self.link(f"b.strat{s}", l1s_b, md) for s, md in enumerate(nics.strat_md)
+            ]
+            l1s_b.set_fanout(pub_ins[0], strat_legs)
+            return
+        per_strategy_legs = []
+        for s, md in enumerate(nics.strat_md):
+            merge = self.merge(f"merge-b.strat{s}")
+            merge.set_output(self.link(f"b.merge{s}.out", merge, md))
+            legs = [self.link(f"b.n{n}.s{s}", l1s_b, merge) for n in range(len(pub_ins))]
+            for leg in legs:
                 merge.add_input(leg)
-                per_strategy_legs[s].append(leg)
+            per_strategy_legs.append(legs)
         for n, pub_in in enumerate(pub_ins):
-            l1s_b.set_fanout(pub_in, [per_strategy_legs[s][n] for s in range(len(strat_md))])
+            l1s_b.set_fanout(pub_in, [legs[n] for legs in per_strategy_legs])
 
-    # --- net C: strategies -> gateway (merge), fills fan back --------------
-    merge_c = MergeUnit(sim, "merge-c")
-    merges.append(merge_c)
-    gw_in = Link(sim, "c.gw", merge_c, gw_strat_nic)
-    gw_strat_nic.attach(gw_in)
-    merge_c.set_output(gw_in)
-    for i, orders in enumerate(strat_orders):
-        leg = Link(sim, f"c.strat{i}", orders, merge_c)
-        orders.attach(leg)
-        merge_c.add_input(leg)
+    def wire_orders(self, nics: FirmNics) -> None:
+        """Nets C (strategies → gateway merge) and D (gateway ↔ exchange)."""
+        merge_c = self.merge("merge-c")
+        merge_c.set_output(self.link("c.gw", merge_c, nics.gw_strat))
+        for i, orders in enumerate(nics.strat_orders):
+            merge_c.add_input(self.link(f"c.strat{i}", orders, merge_c))
 
-    # --- net D: gateway <-> exchange order port ----------------------------
-    l1s_d = Layer1Switch(sim, "l1s-d")
-    l1s.append(l1s_d)
-    d_gw = Link(sim, "d.gw", gw_exch_nic, l1s_d)
-    gw_exch_nic.attach(d_gw)
-    d_exch = Link(sim, "d.exchange", l1s_d, exchange_orders_nic)
-    exchange_orders_nic.attach(d_exch)
-    l1s_d.set_fanout(d_gw, [d_exch])
-    l1s_d.set_fanout(d_exch, [d_gw])
+        l1s_d = self.layer1("l1s-d")
+        d_gw = self.link("d.gw", nics.gw_exch, l1s_d)
+        d_exch = self.link("d.exchange", l1s_d, nics.exchange_orders)
+        l1s_d.set_fanout(d_gw, [d_exch])
+        l1s_d.set_fanout(d_exch, [d_gw])
 
-    # --- components ---------------------------------------------------------
-    exchange = Exchange(
-        sim,
-        EXCHANGE_KEY,
-        list(universe.names),
-        alphabetical_scheme(exchange_partitions),
-        feed_nic_a=exchange_feed_nic,
-        orders_nic=exchange_orders_nic,
-        matching_latency_ns=matching_latency_ns,
-        coalesce_window_ns=MICROSECOND,
-    )
-    firm_scheme = hashed_scheme(firm_partitions)
-    normalizers = []
-    for i, (rx, tx) in enumerate(norm_nics):
-        normalizer = Normalizer(
-            sim, f"norm{i}", EXCHANGE_ID, rx, tx, "norm", firm_scheme,
-            function_latency_ns=function_latency_ns,
-        )
-        # L1S membership is physical: every normalizer NIC sees every
-        # frame; the NIC filter keeps only this normalizer's share of the
-        # exchange partitions (feeds split across normalizers, §3).
-        for group in exchange.publisher.groups:
-            if group.partition % n_normalizers == i:
-                normalizer.feed.subscribe(group)
-        normalizers.append(normalizer)
 
-    gateway = OrderGateway(
-        sim, "gw0", gw_strat_nic, gw_exch_nic,
-        function_latency_ns=function_latency_ns,
-    )
-    gateway.connect_exchange(EXCHANGE_KEY, exchange_orders_nic.address)
+class FpgaL1S(L1S):
+    """Design 4: §5's FPGA-enhanced L1S fabric.
 
-    strategies = momentum_strategies(
-        sim, universe, strat_md, strat_orders, gw_strat_nic.address,
-        recorder, function_latency_ns,
-    )
-    for strategy in strategies:
-        for partition in range(firm_partitions):
-            strategy.subscribe(MulticastGroup("norm", partition))
+    Market data forwards *by multicast group* at 100 ns through
+    :class:`FilteringL1Switch` devices, so — unlike the pure L1S of
+    Design 3 — each strategy's link carries only the partitions that
+    strategy subscribed to (in-fabric filtering), and membership changes
+    are table updates rather than re-cabling. Orders ride Design 3's
+    nets C and D (the FPGA pipeline here models multicast forwarding
+    only).
+    """
 
-    flow = OrderFlowGenerator(sim, "flow", exchange, universe, flow_rate_per_s)
-    return TradingSystem(
-        sim=sim, exchange=exchange, normalizers=normalizers,
-        strategies=strategies, gateway=gateway, flow=flow, recorder=recorder,
-        universe=universe, l1_switches=l1s, merge_units=merges,
-    )
+    one_normalizer = True
+    limits_subscriptions = True
+
+    def wire_market_data(self, nics: FirmNics) -> None:
+        fpga_a = FilteringL1Switch(self.sim, "fpga-a")
+        fpga_b = FilteringL1Switch(self.sim, "fpga-b")
+        self.handles["fpga_switches"] = [fpga_a, fpga_b]
+        self.link("a.exchange", nics.exchange_feed, fpga_a)
+        rx, tx = nics.norm_md[0], nics.norm_pub[0]
+        # Each receiving NIC's (switch, egress leg): a join is a table entry.
+        self.egress = {rx: (fpga_a, self.link("a.norm0", fpga_a, rx))}
+        fpga_b.attach_link(self.link("b.norm0", tx, fpga_b))
+        for i, md in enumerate(nics.strat_md):
+            self.egress[md] = (fpga_b, self.link(f"b.strat{i}", fpga_b, md))
+
+    def join(self, group: MulticastGroup, nic: Nic) -> None:
+        switch, leg = self.egress[nic]
+        switch.add_egress(group, leg)
+        nic.join_group(group)
 
 
 @register_builder("design1")
-def _design1_from_spec(spec) -> TradingSystem:
-    return _build_design1(
-        seed=spec.seed,
-        n_symbols=spec.n_symbols,
-        n_strategies=spec.n_strategies,
-        n_normalizers=spec.n_normalizers,
-        flow_rate_per_s=spec.flow_rate_per_s,
-        exchange_partitions=spec.exchange_partitions,
-        firm_partitions=spec.firm_partitions,
-        function_latency_ns=spec.function_latency_ns,
-        matching_latency_ns=spec.matching_latency_ns,
-        telemetry=spec.telemetry,
-    )
+def _design1(spec: SystemSpec) -> TradingSystem:
+    return assemble(spec, LeafSpine)
 
 
 @register_builder("design3")
-def _design3_from_spec(spec) -> TradingSystem:
-    return _build_design3(
-        seed=spec.seed,
-        n_symbols=spec.n_symbols,
-        n_strategies=spec.n_strategies,
-        n_normalizers=spec.n_normalizers,
-        flow_rate_per_s=spec.flow_rate_per_s,
-        exchange_partitions=spec.exchange_partitions,
-        firm_partitions=spec.firm_partitions,
-        function_latency_ns=spec.function_latency_ns,
-        matching_latency_ns=spec.matching_latency_ns,
-        telemetry=spec.telemetry,
-    )
+def _design3(spec: SystemSpec) -> TradingSystem:
+    return assemble(spec, L1S)
 
+
+@register_builder("design4")
+def _design4(spec: SystemSpec) -> TradingSystem:
+    return assemble(spec, FpgaL1S)

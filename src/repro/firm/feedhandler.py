@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.net.addressing import MulticastGroup
-from repro.net.multicast import MulticastFabric
+from repro.net.multicast import GroupJoiner, MulticastFabric
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.protocols.pitch import PitchMessage
@@ -83,11 +83,11 @@ class FeedHandler(Component):
         nic.bind(self._on_packet)
 
     def subscribe(
-        self, group: MulticastGroup, fabric: MulticastFabric | None = None
+        self, group: MulticastGroup, fabric: GroupJoiner | None = None
     ) -> None:
-        """Join ``group``; via ``fabric`` when the NIC sits on a routed
-        fabric, or directly (NIC filter only) on L1S networks where
-        membership is physical wiring."""
+        """Join ``group``; via ``fabric`` when a network manages
+        membership (a routed multicast fabric, a testbed fabric), or
+        directly (NIC filter only) where membership is physical wiring."""
         if fabric is not None:
             fabric.join(group, self.nic)
         else:

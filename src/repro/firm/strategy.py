@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from repro.net.addressing import EndpointAddress, MulticastGroup
-from repro.net.multicast import MulticastFabric
+from repro.net.multicast import GroupJoiner
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.protocols.boe import OrderFill
@@ -104,7 +104,7 @@ class Strategy(Component):
     # -- subscriptions ---------------------------------------------------------------
 
     def subscribe(
-        self, group: MulticastGroup, fabric: MulticastFabric | None = None
+        self, group: MulticastGroup, fabric: GroupJoiner | None = None
     ) -> None:
         if fabric is not None:
             fabric.join(group, self.md_nic)

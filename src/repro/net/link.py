@@ -163,7 +163,8 @@ class Link:
 
     Devices transmit with :meth:`send`, naming themselves so the link can
     pick the direction. The conventional in-colo cross-connect is 10 Gb/s
-    (§2: "usually via 10 Gbps Ethernet").
+    (§2: "usually via 10 Gbps Ethernet"). Construction records the link on
+    ``sim.registry``.
     """
 
     def __init__(
@@ -193,6 +194,7 @@ class Link:
         self.queue_limit_bytes = queue_limit_bytes
         self._a_to_b = _Direction(self, "a->b", end_b)
         self._b_to_a = _Direction(self, "b->a", end_a)
+        sim.registry.append(self)
 
     def serialization_ns(self, frame_bytes: int) -> int:
         """Line time for one frame, including preamble + inter-frame gap."""

@@ -18,12 +18,21 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
+from typing import Protocol
 
 from repro.net.addressing import EndpointAddress, MulticastGroup
 from repro.net.link import Link
 from repro.net.nic import Nic
 from repro.net.switch import CommoditySwitch
 from repro.net.topology import LeafSpineTopology
+
+
+class GroupJoiner(Protocol):
+    """Whatever joins a receiver NIC to a group: a
+    :class:`MulticastFabric`, or any testbed network with a membership
+    step (``FeedHandler.subscribe`` and ``Strategy.subscribe`` take one)."""
+
+    def join(self, group: MulticastGroup, receiver: Nic) -> None: ...
 
 
 @dataclass

@@ -68,7 +68,6 @@ DECADE_AGO_GENERATION = SWITCH_GENERATIONS[0]
 class SwitchStats:
     packets_forwarded: int = 0
     blackholed: int = 0
-    copies_emitted: int = 0
     unicast_forwarded: int = 0
     multicast_forwarded: int = 0
     software_forwarded: int = 0

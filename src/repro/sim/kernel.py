@@ -133,6 +133,10 @@ class Simulator:
         self._stopped = False
         self.events_executed = 0
         self.rng = RngStreams(seed)
+        # Every Component and Link built on this simulator, in
+        # construction order: the one device inventory (chaos fault
+        # targets and lifecycle wiring are type filters over it).
+        self.registry: list = []
         self._trace_hooks: list[Callable[[int, Callable], None]] = []
         # Wall-clock profiling is opt-in like telemetry: None keeps the
         # dispatch loop on its unclocked path; attach_profiler() swaps

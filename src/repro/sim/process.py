@@ -20,6 +20,7 @@ class Component:
     Subclasses get ``self.sim`` and ``self.name`` and may override
     :meth:`start` (called when the simulation is wired up) and
     :meth:`finish` (called by teardown helpers to flush statistics).
+    Construction records the component on ``sim.registry``.
     """
 
     def __init__(self, sim: Simulator, name: str):
@@ -28,6 +29,7 @@ class Component:
         self.sim = sim
         self.name = name
         self._started = False
+        sim.registry.append(self)
 
     # -- lifecycle ---------------------------------------------------------
 

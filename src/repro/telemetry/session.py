@@ -213,24 +213,6 @@ class TelemetrySession:
         """Per-(where, kind) span latency histograms, a snapshot copy."""
         return dict(self._span_hists)
 
-    # -- component-stats harvest ------------------------------------------------
-
-    def harvest_stats(self, name: str, stats: object) -> None:
-        """Merge a component's dataclass-style stats into the registry.
-
-        Every public integer attribute becomes a counter named
-        ``<name>.<field>``; called at end of run so the JSON export
-        carries the same counters the in-object stats expose.
-        """
-        for field in vars(stats):
-            if field.startswith("_"):
-                continue
-            value = getattr(stats, field)
-            if isinstance(value, bool) or not isinstance(value, int):
-                continue
-            counter = self.metrics.counter(f"{name}.{field}")
-            counter.value = value
-
     def to_dict(self) -> dict:
         return {
             "traces": [trace.to_dict() for trace in self.traces],

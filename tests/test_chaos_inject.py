@@ -1,16 +1,21 @@
 """Tests for the chaos controller: kernel-driven fault windows."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.chaos.inject import ChaosController
 from repro.chaos.spec import parse_faults
 from repro.chaos.targets import collect_targets
+from repro.core import build_system
+from repro.core.config import SystemSpec
+from repro.core.run import execute_spec
 from repro.net.addressing import EndpointAddress
 from repro.net.link import Link
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.net.switch import SWITCH_GENERATIONS, CommoditySwitch
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import MILLISECOND, Simulator
 
 
 class Sink:
@@ -40,15 +45,63 @@ def _faults(*dicts):
     return parse_faults(dicts)
 
 
-def test_collect_targets_finds_devices_through_containers():
+def test_collect_targets_finds_devices_in_the_registry():
+    """Devices record themselves on their simulator when built, so no
+    handle has to reach them."""
     sim = Simulator(seed=1)
     link, _, _ = _link(sim)
     switch = CommoditySwitch(sim, "spine0", SWITCH_GENERATIONS[0])
     nic = Nic(sim, "nic.a", EndpointAddress("a"))
-    targets = collect_targets({"handles": [link, switch, (nic,)]})
+    assert sim.registry == [link, switch, nic]
+    targets = collect_targets(SimpleNamespace(sim=sim))
     assert list(targets["link"]) == ["wire"]
     assert list(targets["switch"]) == ["spine0"]
     assert list(targets["nic"]) == ["nic.a"]
+
+
+# Device counts per design, pinned from the object-graph walk the
+# registry replaced: every design's devices are found with nothing
+# added per builder.
+DEVICE_COUNTS = {
+    "design1": {"link": 20, "switch": 6, "nic": 12},
+    "design2": {"link": 12, "switch": 0, "nic": 12},
+    "design3": {"link": 20, "switch": 0, "nic": 14},
+    "design4": {"link": 12, "switch": 0, "nic": 12},
+    "wan": {"link": 14, "switch": 0, "nic": 14},
+    "multivenue": {"link": 21, "switch": 6, "nic": 13},
+    "ticktotrade": {"link": 4, "switch": 0, "nic": 4},
+}
+
+
+@pytest.mark.parametrize("design", sorted(DEVICE_COUNTS))
+def test_device_registry_finds_every_design_s_devices(design):
+    n_normalizers = 2 if design == "design3" else 1
+    system = build_system(design=design, n_normalizers=n_normalizers)
+    targets = collect_targets(system)
+    counts = {kind: len(devices) for kind, devices in targets.items()}
+    assert counts == DEVICE_COUNTS[design]
+    # Names are unique: nothing was shadowed on the way into the dicts.
+    names = [device.name for device in system.sim.registry]
+    assert len(names) == len(set(names))
+
+
+LIFECYCLE_MACHINES = {
+    "design1": ["lifecycle.norm0.fh"],
+    "design2": ["lifecycle.norm0.fh"],
+    "design3": ["lifecycle.norm0.fh"],
+    "design4": ["lifecycle.norm0.fh"],
+    "wan": ["lifecycle.norm0.fh"],
+    "multivenue": ["lifecycle.norm1.fh", "lifecycle.norm2.fh"],
+    "ticktotrade": ["lifecycle.hft0.fh"],
+}
+
+
+@pytest.mark.parametrize("design", sorted(LIFECYCLE_MACHINES))
+def test_lifecycle_machine_per_feed_handler(design):
+    spec = SystemSpec(design=design, run_ns=MILLISECOND, lifecycle=True)
+    controller = execute_spec(spec).system.sim.chaos
+    names = [machine.name for machine in controller.lifecycles]
+    assert names == LIFECYCLE_MACHINES[design]
 
 
 def test_unmatched_target_is_a_loud_error_naming_known_devices():

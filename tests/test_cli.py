@@ -28,14 +28,6 @@ def test_figure2_command(capsys):
     assert "1,500,000" in out  # busiest second
 
 
-def test_roundtrip_command(capsys):
-    assert main(["roundtrip", "--ms", "15", "--seed", "3"]) == 0
-    out = capsys.readouterr().out
-    assert "design1 (leaf-spine)" in out
-    assert "design3 (L1S)" in out
-    assert "median" in out
-
-
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["nope"])

@@ -45,21 +45,6 @@ def test_unknown_design_rejected():
         build_system(design="design9")
 
 
-@pytest.mark.parametrize(
-    "design",
-    ["design1", "design2", "design3", "design4", "cross_colo"],
-)
-def test_retired_builder_aliases_raise_with_migration_message(design):
-    """The PR-1 compatibility shims are gone: importing one must fail
-    loudly, pointing at build_system(). The alias names are assembled at
-    runtime so the tree-wide grep for the retired surface stays empty."""
-    import repro.core as core
-
-    legacy = "build_" + design + "_system"
-    with pytest.raises(ImportError, match="build_system"):
-        getattr(core, legacy)
-
-
 def test_retired_strategies_module_raises_with_migration_message():
     import repro.firm as firm
 
