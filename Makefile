@@ -1,8 +1,8 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify lint lint-changed test bench scoreboard report sweep-smoke \
-	trace-smoke scenario-smoke
+.PHONY: verify lint lint-changed test bench bench-pairs scoreboard report \
+	sweep-smoke trace-smoke scenario-smoke
 
 # The one gate: repro lint --changed + ruff (when installed) + tier-1
 # pytest (which includes the full-tree lint gate) + the E01-E24 paper
@@ -40,6 +40,19 @@ test:
 # Macro benchmark: whole-testbed events/s, merged into BENCH_perf.json.
 bench:
 	$(PYTHON) -m repro bench
+
+# Alternating pairs of perfbench runs, BASE (a git revision, checked out
+# into a temporary worktree) against the working tree, with each side's
+# quartiles and the pairs won per end-to-end metric, e.g.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=options-chain PAIRS=10 SECONDS=20
+BASE ?= HEAD
+WORKLOAD ?= options-chain
+PAIRS ?= 10
+SECONDS ?= 20
+SEED ?= 1
+bench-pairs:
+	$(PYTHON) tools/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
+		--pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)
 
 # The full pytest-benchmark scoreboard (components, macro, E-series).
 scoreboard:

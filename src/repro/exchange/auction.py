@@ -122,7 +122,7 @@ class OpeningAuction:
         """Queue an auction order; returns its auction order id."""
         if not self._armed:
             raise RuntimeError("auction not armed; use continuous trading")
-        if symbol not in self.engine.symbols:
+        if symbol not in self.engine:
             raise KeyError(f"unknown symbol {symbol}")
         if side not in ("B", "S") or price <= 0 or quantity <= 0:
             raise ValueError("invalid auction order")

@@ -84,6 +84,9 @@ class MatchingEngine:
     def symbols(self) -> list[str]:
         return list(self._books)
 
+    def __contains__(self, symbol: str) -> bool:
+        return symbol in self._books
+
     def book(self, symbol: str) -> OrderBook:
         return self._books[symbol]
 

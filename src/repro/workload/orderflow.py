@@ -65,8 +65,7 @@ class OrderFlowGenerator(Component):
         self._running = False
         self._rng = sim.rng.stream(f"orderflow.{name}")
         for symbol in universe.names:
-            if symbol not in exchange.engine.symbols:
-                exchange.engine.list_symbol(symbol)
+            exchange.engine.list_symbol(symbol)
 
     # -- control ---------------------------------------------------------------
 

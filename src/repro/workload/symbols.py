@@ -10,6 +10,7 @@ something to partition on.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +56,10 @@ class SymbolUniverse:
         self._by_name = {s.name: s for s in symbols}
         weights = np.array([s.activity_weight for s in symbols], dtype=float)
         self._probs = weights / weights.sum()
+        # The CDF exactly as ``Generator.choice(p=...)`` builds it per call.
+        cdf = self._probs.cumsum()
+        cdf /= cdf[-1]
+        self._cdf: list[float] = cdf.tolist()
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -73,9 +78,17 @@ class SymbolUniverse:
         return self._by_name[name].instrument_type
 
     def sample(self, rng: np.random.Generator, n: int = 1) -> list[Symbol]:
-        """Draw ``n`` symbols weighted by activity (with replacement)."""
-        idx = rng.choice(len(self.symbols), size=n, p=self._probs)
-        return [self.symbols[i] for i in idx]
+        """Draw ``n`` symbols weighted by activity (with replacement).
+
+        Stream contract: one ``rng.random`` double per draw, mapped
+        through the CDF with a right-side binary search, exactly as
+        ``rng.choice(len(self), size=n, p=self._probs)`` does. Results
+        and the generator's state afterwards are identical to that call,
+        at O(log n) per draw instead of O(n).
+        """
+        cdf = self._cdf
+        symbols = self.symbols
+        return [symbols[bisect_right(cdf, u)] for u in rng.random(n).tolist()]
 
     def most_active(self, n: int = 1) -> list[Symbol]:
         return sorted(self.symbols, key=lambda s: -s.activity_weight)[:n]

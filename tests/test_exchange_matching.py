@@ -154,3 +154,12 @@ def test_list_symbol_dynamic():
     assert engine.symbols == []
     engine.list_symbol("NEW")
     assert engine.submit("a", "NEW", "B", 100, 1).accepted
+
+
+def test_membership_tracks_listing():
+    engine = _engine(())
+    assert "NEW" not in engine
+    engine.list_symbol("NEW")
+    engine.list_symbol("NEW")
+    assert "NEW" in engine
+    assert engine.symbols == ["NEW"]

@@ -41,6 +41,15 @@ GOLDEN = {
         "7fe9d35215627545758ebe056cd9eb3818553cfe42e8cf0c3bfa7f433c4fc677",
     ("design1", 1, (("telemetry", True),)):
         "ef0d45dbbde6016d6350e34ba1e3a8be1d8390308494cd252bbd11dc2372bb53",
+    # Large Zipf universes and several flows on one universe, recorded
+    # before symbol sampling moved off ``Generator.choice``.
+    ("design3", 1, (("n_symbols", 8192), ("exchange_partitions", 64),
+                    ("firm_partitions", 1024))):
+        "c0108150f72b65700d5576436f5598640a4a29eed04c5d3f498accaa7fb27973",
+    ("design1", 1, (("n_symbols", 8192),)):
+        "0257a63c525fe4887c93fd9b1ff3867ba25fa49bcb8a75961df8a4483fea2e6c",
+    ("multivenue", 1, ()):
+        "027c7968ea24b022a5c7ef0b561129eaadccd58fa3a8550009adf1d9373e2134",
 }
 
 

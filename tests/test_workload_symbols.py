@@ -75,3 +75,22 @@ def test_validation():
         Symbol("AA", "bond", 100, 1.0)
     with pytest.raises(ValueError):
         Symbol("AA", "equity", 0, 1.0)
+
+
+@pytest.mark.parametrize("zipf_exponent", [1.1, 0.6])
+@pytest.mark.parametrize("n_symbols", [1, 12, 8192])
+@pytest.mark.parametrize("n", [1, 7])
+def test_sample_matches_generator_choice_on_the_same_stream(
+    n_symbols, zipf_exponent, n
+):
+    """``sample`` is ``Generator.choice(p=...)`` draw for draw, state for state."""
+    universe = make_universe(n_symbols, seed=8, zipf_exponent=zipf_exponent)
+    rng = np.random.default_rng(11)
+    twin = np.random.default_rng(11)
+    for _ in range(200):
+        expected = [
+            universe.symbols[i]
+            for i in twin.choice(len(universe), size=n, p=universe._probs)
+        ]
+        assert universe.sample(rng, n) == expected
+    assert rng.bit_generator.state == twin.bit_generator.state
