@@ -43,8 +43,10 @@ bench:
 
 # Alternating pairs of perfbench runs, BASE (a git revision, checked out
 # into a temporary worktree) against the working tree, with each side's
-# quartiles and the pairs won per end-to-end metric, e.g.
-#   make bench-pairs BASE=HEAD~1 WORKLOAD=options-chain PAIRS=10 SECONDS=20
+# quartiles, the pairs won and the claimable/regressed verdicts per
+# end-to-end metric; one table per workload. WORKLOAD takes one or more
+# BENCHMARK.json names ("a b") or all, e.g.
+#   make bench-pairs BASE=HEAD~1 WORKLOAD=all PAIRS=10 SECONDS=20
 BASE ?= HEAD
 WORKLOAD ?= options-chain
 PAIRS ?= 10

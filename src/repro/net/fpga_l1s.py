@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.net.addressing import MulticastGroup, is_multicast
-from repro.net.link import Link
+from repro.net.link import Link, Port
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.process import Component
@@ -45,13 +45,17 @@ class TableFull(RuntimeError):
 
 @dataclass
 class _GroupEntry:
-    """One multicast table entry: egress set, filters, balance groups."""
+    """One multicast table entry: egress set, filters, balance groups.
 
-    egress: list[Link] = field(default_factory=list)
-    filters: dict[int, FilterFn] = field(default_factory=dict)  # id(link) -> fn
-    # Links in a balance set carry a share of the group's packets each
+    Egress is held as transmit ports, resolved when the entry is
+    configured.
+    """
+
+    egress: list[Port] = field(default_factory=list)
+    filters: dict[int, FilterFn] = field(default_factory=dict)  # id(port) -> fn
+    # Ports in a balance set carry a share of the group's packets each
     # instead of a copy each.
-    balance_sets: list[list[Link]] = field(default_factory=list)
+    balance_sets: list[list[Port]] = field(default_factory=list)
 
 
 @dataclass
@@ -118,11 +122,12 @@ class FilteringL1Switch(Component):
         """Deliver ``group`` out ``link``; optionally only packets
         matching ``filter_fn`` (in-fabric feed thinning, §5)."""
         self.attach_link(link)
+        port = link.port(self)
         entry = self._entry(group)
-        if link not in entry.egress:
-            entry.egress.append(link)
+        if port not in entry.egress:
+            entry.egress.append(port)
         if filter_fn is not None:
-            entry.filters[id(link)] = filter_fn
+            entry.filters[id(port)] = filter_fn
 
     def add_balanced_egress(
         self, group: MulticastGroup, links: list[Link]
@@ -133,8 +138,9 @@ class FilteringL1Switch(Component):
             raise ValueError("a balance set needs at least two links")
         for link in links:
             self.attach_link(link)
+        ports = [link.port(self) for link in links]
         entry = self._entry(group)
-        entry.balance_sets.append(list(links))
+        entry.balance_sets.append(ports)
 
     def remove_group(self, group: MulticastGroup) -> None:
         self._table.pop(group, None)
@@ -167,30 +173,30 @@ class FilteringL1Switch(Component):
         self.sim.schedule_after(self.latency_ns, self._emit, (packet, entry, ingress))
 
     def _emit(self, packet: Packet, entry: _GroupEntry, ingress: Link) -> None:
-        for link in entry.egress:
-            if link is ingress:
+        for port in entry.egress:
+            if port.link is ingress:
                 continue
-            filter_fn = entry.filters.get(id(link))
+            filter_fn = entry.filters.get(id(port))
             if filter_fn is not None and not filter_fn(packet):
                 self.stats.filtered_out += 1
                 continue
-            self._send_copy(packet, link)
+            self._send_copy(packet, port)
         for balance_set in entry.balance_sets:
             index = zlib.crc32(packet.packet_id.to_bytes(8, "little")) % len(
                 balance_set
             )
             chosen = balance_set[index]
-            if chosen is not ingress:
+            if chosen.link is not ingress:
                 self.stats.balanced += 1
                 self._send_copy(packet, chosen)
 
-    def _send_copy(self, packet: Packet, link: Link) -> None:
+    def _send_copy(self, packet: Packet, port: Port) -> None:
         copy = packet.clone()
         copy.stamp(self._trace_point, self.now)
         if copy.trace is not None:
             copy.trace.record(self._trace_point, "fpga", self.now)
         self.stats.copies_out += 1
-        if not link.send(copy, self):
+        if not port.send(copy):
             self.stats.egress_send_failures += 1
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.net.link import Link
+from repro.net.link import Link, Port
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.process import Component
@@ -51,7 +51,8 @@ class Layer1Switch(Component):
         if fanout_latency_ns <= 0:
             raise ValueError("fanout latency must be positive")
         self.fanout_latency_ns = int(fanout_latency_ns)
-        self._fanout: dict[int, list[Link]] = {}
+        # id(ingress link) -> egress ports, resolved by set_fanout.
+        self._fanout: dict[int, tuple[Port, ...]] = {}
         self.links: list[Link] = []
         self.stats = L1Stats()
         # Precomputed stamp/trace name: the datapath must not build it.
@@ -73,12 +74,11 @@ class Layer1Switch(Component):
         self.attach_link(ingress)
         for link in egress:
             self.attach_link(link)
-        self._fanout[id(ingress)] = list(egress)
+        self._fanout[id(ingress)] = tuple(link.port(self) for link in egress)
 
     def fanout_of(self, ingress: Link) -> list[Link]:
-        return list(self._fanout.get(id(ingress), ()))
+        return [port.link for port in self._fanout.get(id(ingress), ())]
 
-    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def handle_packet(self, packet: Packet, ingress: Link) -> None:
         self.stats.packets_in += 1
         if packet.trace is not None:
@@ -87,18 +87,20 @@ class Layer1Switch(Component):
         if not egress:
             self.stats.unconfigured_drops += 1
             return
+        # The tuple is replaced, never mutated, by set_fanout: a frame
+        # in flight keeps the fan-out it arrived under.
         self.sim.schedule_after(
-            self.fanout_latency_ns, self._emit_all, (packet, list(egress))
+            self.fanout_latency_ns, self._emit_all, (packet, egress)
         )
 
-    def _emit_all(self, packet: Packet, egress: list[Link]) -> None:
-        for link in egress:
+    def _emit_all(self, packet: Packet, egress: tuple[Port, ...]) -> None:
+        for port in egress:
             copy = packet.clone() if len(egress) > 1 else packet
             copy.stamp(self._trace_point, self.now)
             if copy.trace is not None:
                 copy.trace.record(self._trace_point, "l1s", self.now)
             self.stats.copies_out += 1
-            if not link.send(copy, self):
+            if not port.send(copy):
                 self.stats.egress_send_failures += 1
 
 
@@ -123,6 +125,9 @@ class MergeUnit(Component):
         self.merge_latency_ns = int(merge_latency_ns)
         self.output: Link | None = None
         self.inputs: list[Link] = []
+        # Transmit ports on ``output`` and ``inputs``, resolved at wiring.
+        self._output_port: Port | None = None
+        self._input_ports: list[Port] = []
         self.stats = L1Stats()
         # Precomputed instrument/stamp names for the per-frame path.
         self._backlog_series = f"merge.{name}.backlog_bytes"
@@ -131,10 +136,12 @@ class MergeUnit(Component):
         self._reverse_stamp = f"merge.rev.{name}"
 
     def set_output(self, link: Link) -> None:
+        self._output_port = link.port(self)
         self.output = link
 
     def add_input(self, link: Link) -> None:
         if link not in self.inputs:
+            self._input_ports.append(link.port(self))
             self.inputs.append(link)
 
     def handle_packet(self, packet: Packet, ingress: Link) -> None:
@@ -157,7 +164,7 @@ class MergeUnit(Component):
             # when this frame arrives (§4.3's bursty-merge failure mode).
             # The gauge's high-watermark answers the sizing question —
             # how deep did the merge backlog ever get.
-            backlog = self.output.queued_bytes_from(self)
+            backlog = self._output_port.queued_bytes
             telemetry.metrics.histogram(self._contention_series).observe(
                 backlog
             )
@@ -165,19 +172,20 @@ class MergeUnit(Component):
         self.sim.schedule_after(self.merge_latency_ns, self._emit, (packet,))
 
     def _emit_reverse(self, packet: Packet) -> None:
-        for link in self.inputs:
-            copy = packet.clone() if len(self.inputs) > 1 else packet
+        ports = self._input_ports
+        for port in ports:
+            copy = packet.clone() if len(ports) > 1 else packet
             copy.stamp(self._reverse_stamp, self.now)
             if copy.trace is not None:
                 copy.trace.record(self._reverse_stamp, "merge", self.now)
-            if not link.send(copy, self):
+            if not port.send(copy):
                 self.stats.egress_send_failures += 1
 
     def _emit(self, packet: Packet) -> None:
-        assert self.output is not None
+        assert self._output_port is not None
         packet.stamp(self._merge_stamp, self.now)
         if packet.trace is not None:
             packet.trace.record(self._merge_stamp, "merge", self.now)
         self.stats.copies_out += 1
-        if not self.output.send(packet, self):
+        if not self._output_port.send(packet):
             self.stats.egress_send_failures += 1

@@ -93,44 +93,63 @@ class _Direction:
         # lookup (and its f-string) must not run per packet.
         self._loss_stream_name = f"link.loss.{link.name}"
         self._loss_rng = None
+        # The link's line-time memo; cleared in place, never replaced.
+        self._line_ns = link._line_ns
 
     def send(self, packet: Packet) -> bool:
-        """Enqueue ``packet`` for transmission. Returns False if dropped."""
+        """Enqueue ``packet`` for transmission. Returns False if dropped.
+
+        An idle transmitter puts the frame on the wire at once, without
+        the deque round trip; telemetry still sees the depth rise and
+        fall, as if the frame had passed through the queue.
+        """
         sim = self.sim
+        wire_bytes = packet.wire_bytes
         limit = self.link.queue_limit_bytes
-        if limit is not None and self.queued_bytes + packet.wire_bytes > limit:
+        if limit is not None and self.queued_bytes + wire_bytes > limit:
             self.stats.packets_dropped_queue += 1
             telemetry = sim.telemetry
             if telemetry is not None:
                 telemetry.count(self._drops_series, sim.now)
             return False
-        self.queue.append((packet, sim.now))
-        self.queued_bytes += packet.wire_bytes
         telemetry = sim.telemetry
+        if not self.transmitting:
+            if telemetry is not None:
+                now = sim.now
+                telemetry.gauge_set(self._depth_series, now, wire_bytes)
+                telemetry.gauge_set(self._depth_series, now, 0)
+            self._transmit(packet, 0)
+            return True
+        self.queue.append((packet, sim.now))
+        self.queued_bytes += wire_bytes
         if telemetry is not None:
             telemetry.gauge_set(self._depth_series, sim.now, self.queued_bytes)
-        if not self.transmitting:
-            self._start_next()
         return True
 
     def _start_next(self) -> None:
         sim = self.sim
-        stats = self.stats
         packet, enqueued_at = self.queue.popleft()
         self.queued_bytes -= packet.wire_bytes
         telemetry = sim.telemetry
         if telemetry is not None:
             telemetry.gauge_set(self._depth_series, sim.now, self.queued_bytes)
-        wait = sim.now - enqueued_at
+        self._transmit(packet, sim.now - enqueued_at)
+
+    def _transmit(self, packet: Packet, wait: int) -> None:
+        """Serialize ``packet`` after ``wait`` ns spent in the queue."""
+        stats = self.stats
         stats.queue_delay_total_ns += wait
         if wait > stats.queue_delay_max_ns:
             stats.queue_delay_max_ns = wait
         self.transmitting = True
-        ser = self.link.serialization_ns(packet.wire_bytes)
+        wire_bytes = packet.wire_bytes
+        ser = self._line_ns.get(wire_bytes)
+        if ser is None:
+            ser = self.link.serialization_ns(wire_bytes)
         stats.busy_ns += ser
         stats.packets_sent += 1
-        stats.bytes_sent += packet.wire_bytes
-        sim.schedule_after(ser, self._serialization_done, (packet,))
+        stats.bytes_sent += wire_bytes
+        self.sim.schedule_after(ser, self._serialization_done, (packet,))
 
     def _serialization_done(self, packet: Packet) -> None:
         self.transmitting = False
@@ -158,13 +177,18 @@ class _Direction:
         self.sink.handle_packet(packet, self.link)
 
 
+#: A transmit direction as devices hold it: what :meth:`Link.port` returns.
+Port = _Direction
+
+
 class Link:
     """A full-duplex point-to-point link between two packet sinks.
 
     Devices transmit with :meth:`send`, naming themselves so the link can
-    pick the direction. The conventional in-colo cross-connect is 10 Gb/s
-    (§2: "usually via 10 Gbps Ethernet"). Construction records the link on
-    ``sim.registry``.
+    pick the direction, or resolve that direction once with :meth:`port`
+    at wiring time and send on it directly. The conventional in-colo
+    cross-connect is 10 Gb/s (§2: "usually via 10 Gbps Ethernet").
+    Construction records the link on ``sim.registry``.
     """
 
     def __init__(
@@ -188,7 +212,9 @@ class Link:
         self.name = name
         self.end_a = end_a
         self.end_b = end_b
-        self.bandwidth_bps = float(bandwidth_bps)
+        # frame bytes -> line time at the current bandwidth.
+        self._line_ns: dict[int, int] = {}
+        self.bandwidth_bps = bandwidth_bps
         self.propagation_delay_ns = int(propagation_delay_ns)
         self.loss_prob = float(loss_prob)
         self.queue_limit_bytes = queue_limit_bytes
@@ -196,42 +222,48 @@ class Link:
         self._b_to_a = _Direction(self, "b->a", end_a)
         sim.registry.append(self)
 
+    @property
+    def bandwidth_bps(self) -> float:
+        """Line rate in bits per second; chaos ``link_rate`` changes it."""
+        return self._bandwidth_bps
+
+    @bandwidth_bps.setter
+    def bandwidth_bps(self, value: float) -> None:
+        self._bandwidth_bps = float(value)
+        self._line_ns.clear()
+
     def serialization_ns(self, frame_bytes: int) -> int:
         """Line time for one frame, including preamble + inter-frame gap."""
-        bits = (frame_bytes + ETHERNET_OVERHEAD_BYTES) * 8
-        return max(1, int(round(bits / self.bandwidth_bps * 1e9)))
+        ns = self._line_ns.get(frame_bytes)
+        if ns is None:
+            bits = (frame_bytes + ETHERNET_OVERHEAD_BYTES) * 8
+            ns = max(1, int(round(bits / self._bandwidth_bps * 1e9)))
+            self._line_ns[frame_bytes] = ns
+        return ns
 
     def other_end(self, device: PacketSink) -> PacketSink:
         """The sink at the far end from ``device``."""
-        if device is self.end_a:
-            return self.end_b
-        if device is self.end_b:
-            return self.end_a
-        raise ValueError(f"{device!r} is not attached to link {self.name}")
+        return self.port(device).sink
+
+    def port(self, sender: PacketSink) -> Port:
+        """``sender``'s transmit direction, for devices to resolve once."""
+        if sender is self.end_a:
+            return self._a_to_b
+        if sender is self.end_b:
+            return self._b_to_a
+        raise ValueError(f"{sender!r} is not attached to link {self.name}")
 
     def send(self, packet: Packet, sender: PacketSink) -> bool:
         """Transmit ``packet`` away from ``sender``. False if tail-dropped."""
-        if sender is self.end_a:
-            return self._a_to_b.send(packet)
-        if sender is self.end_b:
-            return self._b_to_a.send(packet)
-        raise ValueError(f"{sender!r} is not attached to link {self.name}")
+        return self.port(sender).send(packet)
 
     def queued_bytes_from(self, sender: PacketSink) -> int:
         """Bytes currently waiting in ``sender``'s transmit queue."""
-        if sender is self.end_a:
-            return self._a_to_b.queued_bytes
-        if sender is self.end_b:
-            return self._b_to_a.queued_bytes
-        raise ValueError(f"{sender!r} is not attached to link {self.name}")
+        return self.port(sender).queued_bytes
 
     def stats_from(self, sender: PacketSink) -> LinkStats:
         """Transmit-direction statistics for traffic sent by ``sender``."""
-        if sender is self.end_a:
-            return self._a_to_b.stats
-        if sender is self.end_b:
-            return self._b_to_a.stats
-        raise ValueError(f"{sender!r} is not attached to link {self.name}")
+        return self.port(sender).stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Link {self.name} {self.end_a.name}<->{self.end_b.name}>"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.net.addressing import EndpointAddress, MulticastGroup, is_multicast
-from repro.net.link import Link
+from repro.net.link import Link, Port
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.process import Component
@@ -59,6 +59,7 @@ class Nic(Component):
         self.rx_latency_ns = int(rx_latency_ns)
         self.tx_latency_ns = int(tx_latency_ns)
         self.link: Link | None = None
+        self._port: Port | None = None  # our transmit direction on ``link``
         self.stats = NicStats()
         self._handler: Callable[[Packet], None] | None = None
         self._groups: set[MulticastGroup] = set()
@@ -87,6 +88,7 @@ class Nic(Component):
         """Connect this NIC to a link. One link per NIC."""
         if self.link is not None:
             raise RuntimeError(f"NIC {self.name} already attached to a link")
+        self._port = link.port(self)
         self.link = link
 
     def bind(self, handler: Callable[[Packet], None]) -> None:
@@ -166,10 +168,10 @@ class Nic(Component):
         return True
 
     def _transmit(self, packet: Packet) -> None:
-        assert self.link is not None
+        assert self._port is not None
         if packet.trace is not None:
             packet.trace.record(self._trace_point, "nic", self.now)
-        ok = self.link.send(packet, self)
+        ok = self._port.send(packet)
         if not ok:
             self.stats.send_failures += 1
             telemetry = self.sim.telemetry

@@ -93,18 +93,25 @@ class Packet:
 
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def clone(self) -> "Packet":
-        """Copy for multicast fan-out: fresh id, copied trail, forked trace."""
-        return Packet(
-            src=self.src,
-            dst=self.dst,
-            wire_bytes=self.wire_bytes,
-            payload_bytes=self.payload_bytes,
-            message=self.message,
-            seqno=self.seqno,
-            created_at=self.created_at,
-            trail=list(self.trail),
-            trace=self.trace.fork() if self.trace is not None else None,
-        )
+        """Copy for multicast fan-out: fresh id, copied trail, forked trace.
+
+        Built with direct slot stores: the fields were validated when
+        the original was made, so the copy skips ``__init__`` and
+        ``__post_init__``. The id still comes from the shared counter.
+        """
+        copy = object.__new__(Packet)
+        copy.src = self.src
+        copy.dst = self.dst
+        copy.wire_bytes = self.wire_bytes
+        copy.payload_bytes = self.payload_bytes
+        copy.message = self.message
+        copy.seqno = self.seqno
+        copy.created_at = self.created_at
+        copy.packet_id = next(_packet_ids)
+        copy.trail = self.trail.copy()
+        trace = self.trace
+        copy.trace = trace.fork() if trace is not None else None
+        return copy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

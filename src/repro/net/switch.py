@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.net.addressing import Address, EndpointAddress, MulticastGroup, is_multicast
-from repro.net.link import Link
+from repro.net.link import Link, Port
 from repro.net.packet import Packet
 from repro.sim.kernel import Simulator
 from repro.sim.process import Component
@@ -100,9 +100,11 @@ class CommoditySwitch(Component):
         self.profile = profile
         self.failed = False  # a failed switch blackholes everything
         self.links: list[Link] = []
-        self.fib: dict[EndpointAddress, Link] = {}
-        self._mroute_hw: dict[MulticastGroup, set[Link]] = {}
-        self._mroute_sw: dict[MulticastGroup, set[Link]] = {}
+        # Routes hold egress ports, resolved when the route is installed,
+        # so the datapath never asks a link which direction is ours.
+        self.fib: dict[EndpointAddress, Port] = {}
+        self._mroute_hw: dict[MulticastGroup, tuple[Port, ...]] = {}
+        self._mroute_sw: dict[MulticastGroup, tuple[Port, ...]] = {}
         self.stats = SwitchStats()
         self._sw_queue: deque[tuple[Packet, Link]] = deque()
         self._sw_busy = False
@@ -124,7 +126,7 @@ class CommoditySwitch(Component):
             raise MrouteOverflow(
                 f"{self.name}: FIB capacity {self.profile.fib_capacity} exceeded"
             )
-        self.fib[dst] = egress
+        self.fib[dst] = egress.port(self)
 
     def install_mroute(
         self, group: MulticastGroup, egress: set[Link], strict: bool = False
@@ -135,21 +137,26 @@ class CommoditySwitch(Component):
         table is full the entry spills to the software path (or raises,
         with ``strict=True``). Updating an existing entry never changes
         which table holds it.
+
+        The entry holds the egress links' ports, in the iteration order
+        of ``set(egress)``: that order is the per-packet fan-out order,
+        and so the order fan-out copies take their packet ids.
         """
+        ports = tuple(link.port(self) for link in set(egress))
         if group in self._mroute_hw:
-            self._mroute_hw[group] = set(egress)
+            self._mroute_hw[group] = ports
             return True
         if group in self._mroute_sw:
-            self._mroute_sw[group] = set(egress)
+            self._mroute_sw[group] = ports
             return False
         if len(self._mroute_hw) < self.profile.mroute_capacity:
-            self._mroute_hw[group] = set(egress)
+            self._mroute_hw[group] = ports
             return True
         if strict:
             raise MrouteOverflow(
                 f"{self.name}: mroute capacity {self.profile.mroute_capacity} exceeded"
             )
-        self._mroute_sw[group] = set(egress)
+        self._mroute_sw[group] = ports
         return False
 
     def remove_mroute(self, group: MulticastGroup) -> None:
@@ -169,7 +176,7 @@ class CommoditySwitch(Component):
         entry = self._mroute_hw.get(group)
         if entry is None:
             entry = self._mroute_sw.get(group)
-        return set(entry) if entry is not None else None
+        return {port.link for port in entry} if entry is not None else None
 
     # -- datapath ------------------------------------------------------------
 
@@ -187,13 +194,13 @@ class CommoditySwitch(Component):
             self._forward_unicast(packet, ingress)
 
     def _forward_unicast(self, packet: Packet, ingress: Link) -> None:
-        egress = self.fib.get(packet.dst)  # type: ignore[arg-type]
-        if egress is None or egress is ingress:
+        port = self.fib.get(packet.dst)  # type: ignore[arg-type]
+        if port is None or port.link is ingress:
             self.stats.unroutable += 1
             return
         self.stats.unicast_forwarded += 1
         delay_ns = self._forward_latency_ns(packet)
-        self.sim.schedule_after(delay_ns, self._emit, (packet, egress))
+        self.sim.schedule_after(delay_ns, self._emit, (packet, port))
 
     def _forward_multicast(self, packet: Packet, ingress: Link) -> None:
         group = packet.dst
@@ -204,10 +211,10 @@ class CommoditySwitch(Component):
             delay_ns = self._forward_latency_ns(packet)
             schedule_after = self.sim.schedule_after
             emit = self._emit
-            for egress in hw_entry:
-                if egress is ingress:
+            for port in hw_entry:
+                if port.link is ingress:
                     continue
-                schedule_after(delay_ns, emit, (packet.clone(), egress))
+                schedule_after(delay_ns, emit, (packet.clone(), port))
             return
         sw_entry = self._mroute_sw.get(group)
         if sw_entry is None:
@@ -239,10 +246,10 @@ class CommoditySwitch(Component):
         assert isinstance(group, MulticastGroup)
         entry = self._mroute_sw.get(group, ())
         self.stats.software_forwarded += 1
-        for egress in entry:
-            if egress is ingress:
+        for port in entry:
+            if port.link is ingress:
                 continue
-            self._emit(packet.clone(), egress)
+            self._emit(packet.clone(), port)
         if self._sw_queue:
             self.sim.schedule_after(
                 self.profile.software_latency_ns, self._software_service
@@ -258,10 +265,10 @@ class CommoditySwitch(Component):
             latency_ns += int(round(bits / self.profile.port_bandwidth_bps * 1e9))
         return latency_ns
 
-    def _emit(self, packet: Packet, egress: Link) -> None:
+    def _emit(self, packet: Packet, port: Port) -> None:
         packet.stamp(self._trace_point, self.now)
         if packet.trace is not None:
             packet.trace.record(self._trace_point, "switch", self.now)
-        ok = egress.send(packet, self)
+        ok = port.send(packet)
         if not ok:
             self.stats.egress_send_failures += 1

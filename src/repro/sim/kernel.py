@@ -120,12 +120,16 @@ class Simulator:
     The simulator exposes :attr:`rng` (see :class:`repro.sim.rng.RngStreams`)
     so components can draw from named substreams without threading RNG
     objects through every constructor.
+
+    :attr:`now` is the current virtual time in nanoseconds. It is a plain
+    attribute because it is read on every hop, and a property read costs
+    a call: only :meth:`run` writes it. Nothing else may assign it.
     """
 
     def __init__(self, seed: int = 0, telemetry: bool | object = False):
         from repro.sim.rng import RngStreams
 
-        self._now = 0
+        self.now = 0
         self._queue: list[list] = []
         self._seq = 0
         self._cancelled = 0  # cancelled entries still sitting in the heap
@@ -151,11 +155,6 @@ class Simulator:
             self.telemetry = TelemetrySession()
         else:
             self.telemetry = telemetry or None
-
-    @property
-    def now(self) -> int:
-        """Current virtual time in nanoseconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -188,9 +187,9 @@ class Simulator:
         ``time`` must be an integer ≥ :attr:`now`; ``args`` must already
         be a tuple. No keyword parsing, no coercion, no wrapper object.
         """
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is t={self._now})"
+                f"cannot schedule at t={time} (now is t={self.now})"
             )
         event = [time, priority, self._seq, callback, args, False]
         self._seq += 1
@@ -210,10 +209,11 @@ class Simulator:
         The relative-time twin of :meth:`schedule_at`; same contract,
         same raw-entry return.
         """
-        time = self._now + delay_ns
-        if time < self._now:
+        now = self.now
+        time = now + delay_ns
+        if time < now:
             raise SimulationError(
-                f"cannot schedule at t={time} (now is t={self._now})"
+                f"cannot schedule at t={time} (now is t={now})"
             )
         event = [time, priority, self._seq, callback, args, False]
         self._seq += 1
@@ -241,7 +241,7 @@ class Simulator:
         """
         if (at is None) == (after is None):
             raise SimulationError("specify exactly one of at= or after=")
-        when = int(at) if at is not None else self._now + int(after)  # type: ignore[arg-type]
+        when = int(at) if at is not None else self.now + int(after)  # type: ignore[arg-type]
         return EventHandle(
             self, self.schedule_at(when, callback, tuple(args), priority)
         )
@@ -337,7 +337,7 @@ class Simulator:
                     break
                 heappop(queue)
                 event[5] = _FIRED
-                self._now = when
+                self.now = when
                 callback = event[3]  # EV_CALLBACK
                 if hooks:
                     for hook in hooks:
@@ -351,8 +351,8 @@ class Simulator:
                 executed += 1
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
         self.events_executed += executed
         return executed
 

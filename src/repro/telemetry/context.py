@@ -62,6 +62,10 @@ class TraceContext:
     timestamp — the same value echoed to the exchange as the client
     timestamp — so the final trace covers exactly the interval the
     round-trip sample measures.
+
+    ``events`` holds plain ``(where, kind, t)`` tuples: most contexts
+    ride a multicast copy that never finishes, so :class:`TraceEvent`
+    objects are built only by :meth:`finish`.
     """
 
     __slots__ = ("trace_id", "parent_id", "begin_ns", "events", "done")
@@ -69,19 +73,21 @@ class TraceContext:
     def __init__(
         self,
         begin_ns: int,
-        events: list[TraceEvent] | None = None,
+        events: list[tuple[str, str, int]] | None = None,
         parent_id: int | None = None,
     ):
         self.trace_id = next(_trace_ids)
         self.parent_id = parent_id
         self.begin_ns = begin_ns
-        self.events: list[TraceEvent] = events if events is not None else []
+        self.events: list[tuple[str, str, int]] = (
+            events if events is not None else []
+        )
         self.done = False
 
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def record(self, where: str, kind: str, t: int) -> None:
         """Append a point event (device hook; call with ``sim.now``)."""
-        self.events.append(TraceEvent(where, kind, t))
+        self.events.append((where, kind, t))
 
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def fork(self) -> "TraceContext":
@@ -102,7 +108,7 @@ class TraceContext:
             trace_id=self.trace_id,
             begin_ns=self.begin_ns,
             end_ns=end_ns,
-            events=tuple(self.events),
+            events=tuple(TraceEvent(*event) for event in self.events),
         )
 
 

@@ -67,6 +67,9 @@ class TelemetrySession:
         # earliest-finished trace is retained.
         self._slowest: list[tuple[int, int, Trace]] = []
         self._finish_seq = 0
+        # name -> (gauge, its "max" series): one lookup per sample. An
+        # entry appears with the first sample, as the instruments do.
+        self._gauges: dict[str, tuple] = {}
         # Per-(where, kind) span histograms, cached so the hot path
         # builds each instrument name exactly once per hop identity.
         self._span_hists: dict[tuple[str, str], Histogram] = {}
@@ -99,28 +102,30 @@ class TelemetrySession:
     def gauge_set(self, name: str, now: int, value: int) -> None:
         """Set gauge ``name`` to ``value`` and sample it into the series."""
         profiler = self.profiler
-        if profiler is None:
-            self.metrics.gauge(name).set(value)
-            self.series.record_sample(name, now, value)
-            return
-        begin = profiler.clock()
-        self.metrics.gauge(name).set(value)
-        self.series.record_sample(name, now, value)
-        profiler.record_telemetry(profiler.clock() - begin)
+        begin = profiler.clock() if profiler is not None else 0
+        gauge, series = self._gauges.get(name) or self._gauge(name)
+        gauge.set(value)
+        series.record_max(self.series._fit(now), value)
+        if profiler is not None:
+            profiler.record_telemetry(profiler.clock() - begin)
 
     def gauge_add(self, name: str, now: int, delta: int = 1) -> None:
         """Move gauge ``name`` by ``delta`` and sample the new level."""
         profiler = self.profiler
-        if profiler is None:
-            gauge = self.metrics.gauge(name)
-            gauge.add(delta)
-            self.series.record_sample(name, now, gauge.value)
-            return
-        begin = profiler.clock()
-        gauge = self.metrics.gauge(name)
+        begin = profiler.clock() if profiler is not None else 0
+        gauge, series = self._gauges.get(name) or self._gauge(name)
         gauge.add(delta)
-        self.series.record_sample(name, now, gauge.value)
-        profiler.record_telemetry(profiler.clock() - begin)
+        series.record_max(self.series._fit(now), gauge.value)
+        if profiler is not None:
+            profiler.record_telemetry(profiler.clock() - begin)
+
+    def _gauge(self, name: str) -> tuple:
+        """Register gauge ``name`` and its series; cache the pair."""
+        entry = self._gauges[name] = (
+            self.metrics.gauge(name),
+            self.series.sampler(name),
+        )
+        return entry
 
     # -- traces -------------------------------------------------------------
 

@@ -51,6 +51,15 @@ class _Series:
         self.windows: dict[int, int] = {}
         self.total = 0
 
+    def record_max(self, idx: int, value: int) -> None:
+        """Fold a gauge level into window ``idx`` (a "max" series)."""
+        windows = self.windows
+        prev = windows.get(idx)
+        if prev is None or value > prev:
+            windows[idx] = value
+        if value > self.total:
+            self.total = value
+
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def coalesce(self) -> None:
         """Fold each window into its half-index (width just doubled)."""
@@ -104,19 +113,23 @@ class WindowedRecorder:
         series.windows[idx] = series.windows.get(idx, 0) + amount
         series.total += amount
 
-    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
     def record_sample(self, name: str, now_ns: int, value: int) -> None:
         """Record a gauge level at ``now_ns``; windows keep the maximum."""
+        self.sampler(name).record_max(self._fit(now_ns), value)
+
+    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
+    def sampler(self, name: str) -> _Series:
+        """The "max" series ``name``, created on first use.
+
+        A caller that samples one name often may hold the series and
+        call ``series.record_max(recorder._fit(now_ns), value)`` itself:
+        that is exactly :meth:`record_sample` without the name lookup.
+        """
         series = self._series.get(name)
         if series is None:
             series = _Series(name, "max")
             self._series[name] = series
-        idx = self._fit(now_ns)
-        prev = series.windows.get(idx)
-        if prev is None or value > prev:
-            series.windows[idx] = value
-        if value > series.total:
-            series.total = value
+        return series
 
     def _fit(self, now_ns: int) -> int:
         """Window index for ``now_ns``, coalescing until it is in range."""

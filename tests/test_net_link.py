@@ -173,3 +173,63 @@ def test_link_validation():
         Link(sim, "bad", a, b, loss_prob=1.5)
     with pytest.raises(ValueError):
         Link(sim, "bad", a, a)
+
+
+def test_port_send_matches_link_send():
+    """A port resolved once behaves exactly like naming the sender."""
+    outcomes = []
+    for via_port in (False, True):
+        sim = Simulator()
+        link, a, b = _wire(sim, queue_limit_bytes=2500)
+        arrivals = []
+        b.handle_packet = lambda p, i, arrivals=arrivals: arrivals.append(sim.now)
+        port = link.port(a)
+        accepted = [
+            port.send(_packet()) if via_port else link.send(_packet(), a)
+            for _ in range(4)
+        ]
+        sim.run()
+        outcomes.append((accepted, arrivals, vars(link.stats_from(a))))
+    assert outcomes[0] == outcomes[1]
+    accepted, arrivals, stats = outcomes[1]
+    assert accepted == [True, True, True, False]  # the fourth overflows
+    assert stats["packets_dropped_queue"] == 1 and len(arrivals) == 3
+
+
+def test_port_of_unattached_device_names_the_link():
+    sim = Simulator()
+    link, a, b = _wire(sim)
+    assert link.port(a) is not link.port(b)
+    assert link.port(a).sink is b
+    with pytest.raises(ValueError, match="not attached to link l$"):
+        link.port(Sink("stranger"))
+
+
+@pytest.mark.parametrize("bandwidth_bps", [1e9, 10e9, 25e9])
+@pytest.mark.parametrize("frame_bytes", [64, 100, 1518])
+def test_line_time_formula(frame_bytes, bandwidth_bps):
+    sim = Simulator()
+    link, _, _ = _wire(sim, bandwidth_bps=bandwidth_bps)
+    expected = max(1, round((frame_bytes + 20) * 8 / bandwidth_bps * 1e9))
+    assert link.serialization_ns(frame_bytes) == expected
+    assert link.serialization_ns(frame_bytes) == expected  # memoised
+
+
+def test_line_time_follows_a_link_rate_fault_window():
+    """The line-time memo is cleared when chaos degrades the link and
+    again when it restores it."""
+    from repro.chaos.inject import ChaosController
+    from repro.chaos.spec import FaultSpec
+
+    sim = Simulator()
+    link, a, b = _wire(sim)
+    ChaosController(sim, None, (FaultSpec("link_rate", "l", 1_000, 10_000, 0.1),))
+    serialized = []
+    for at in (0, 2_000, 20_000):
+        sim.schedule_at(at, lambda: link.send(_packet(wire=1000), a))
+        sim.schedule_at(at + 1, lambda: serialized.append(link.stats_from(a).busy_ns))
+    sim.run()
+    full_rate = link.serialization_ns(1000)
+    assert full_rate == 816
+    assert serialized == [full_rate, full_rate * 11, full_rate * 12]
+    assert link.bandwidth_bps == 10e9

@@ -91,3 +91,38 @@ def test_addresses_are_value_types():
 def test_negative_partition_rejected():
     with pytest.raises(ValueError):
         MulticastGroup("f", -1)
+
+
+def test_clone_contract():
+    """clone() skips the constructor; the copy must still be a faithful
+    Packet: fresh rising id, equal fields, own trail, forked trace."""
+    from dataclasses import fields
+
+    from repro.telemetry.context import TraceContext
+
+    packet = Packet(
+        src=EndpointAddress("a"), dst=MulticastGroup("feed", 2),
+        wire_bytes=300, payload_bytes=200, message=("itf", 7), seqno=41,
+        created_at=1234,
+    )
+    packet.stamp("nic.tx.a", 1300)
+    packet.trace = TraceContext(begin_ns=1234)
+    packet.trace.record("nic.a", "nic", 1300)
+    first, second = packet.clone(), packet.clone()
+    assert packet.packet_id < first.packet_id < second.packet_id
+    for f in fields(Packet):
+        if f.name not in ("packet_id", "trail", "trace"):
+            assert getattr(first, f.name) == getattr(packet, f.name), f.name
+    assert first.trail == packet.trail and first.trail is not packet.trail
+    assert first.trace is not packet.trace
+    assert first.trace.parent_id == packet.trace.trace_id
+    assert first.trace.begin_ns == packet.trace.begin_ns
+    assert first.trace.events == packet.trace.events
+    first.trace.record("switch.s", "switch", 1800)
+    assert len(packet.trace.events) == 1 and len(second.trace.events) == 1
+
+    plain = _packet(wire=20, payload=10)  # a runt, padded at construction
+    copy = plain.clone()
+    assert copy.trace is None
+    assert copy.wire_bytes == MIN_FRAME_BYTES
+    assert copy.header_bytes == plain.header_bytes

@@ -217,3 +217,84 @@ def test_generation_trends_match_paper():
     for older, newer in zip(SWITCH_GENERATIONS, SWITCH_GENERATIONS[1:]):
         assert newer.port_bandwidth_bps > older.port_bandwidth_bps
         assert newer.hop_latency_ns >= older.hop_latency_ns
+
+
+def _copies_by_host(sim, links, hosts, group):
+    """Send one frame into ``switch`` on links[0]; who got a copy."""
+    for host in hosts:
+        host.received.clear()
+    links[0].send(_packet(group), hosts[0])
+    sim.run()
+    return {host.name for host in hosts if host.received}
+
+
+def test_mroute_ports_follow_reinstall_and_removal():
+    sim = Simulator()
+    switch, hosts, links = _fabric(sim, n_hosts=4)
+    group = MulticastGroup("feed", 0)
+    switch.install_mroute(group, {links[1]})
+    assert _copies_by_host(sim, links, hosts, group) == {"h1"}
+    switch.install_mroute(group, {links[2], links[3]})
+    assert switch.mroute_egress(group) == {links[2], links[3]}
+    assert _copies_by_host(sim, links, hosts, group) == {"h2", "h3"}
+    switch.remove_mroute(group)
+    assert _copies_by_host(sim, links, hosts, group) == set()
+    assert switch.stats.unroutable == 1
+
+
+def test_unicast_route_reinstall_moves_the_port():
+    sim = Simulator()
+    switch, hosts, links = _fabric(sim)
+    dst = EndpointAddress("h1")
+    switch.install_route(dst, links[1])
+    switch.install_route(dst, links[2])
+    links[0].send(_packet(dst), hosts[0])
+    sim.run()
+    assert [len(h.received) for h in hosts] == [0, 0, 1]
+
+
+def test_install_on_a_link_the_switch_is_not_on_names_the_link():
+    sim = Simulator()
+    switch, hosts, _ = _fabric(sim)
+    stray = Link(sim, "stray", hosts[0], hosts[1])
+    with pytest.raises(ValueError, match="stray"):
+        switch.install_mroute(MulticastGroup("feed", 0), {stray})
+    with pytest.raises(ValueError, match="stray"):
+        switch.install_route(EndpointAddress("h1"), stray)
+
+
+def test_copies_follow_the_new_tree_after_a_spine_fails():
+    """switch_fail on the tree's spine, then PIM reconvergence
+    (reinstall_all): copies leave through the surviving spine."""
+    from repro.net.multicast import MulticastFabric
+    from repro.net.topology import build_leaf_spine
+
+    sim = Simulator(seed=1)
+    topo = build_leaf_spine(sim, 3, 2)
+    fabric = MulticastFabric(topo)
+    group = MulticastGroup("feed", 0)
+    source = topo.hosts["rack0-s0"].nic()
+    fabric.announce_server_source(group, source)
+    got = []
+    for host in ("rack1-s0", "rack2-s1"):
+        nic = topo.hosts[host].nic()
+        nic.bind(lambda p, host=host: got.append(host))
+        fabric.join(group, nic)
+
+    def blast():
+        got.clear()
+        source.send(Packet(src=source.address, dst=group, wire_bytes=100,
+                           payload_bytes=50))
+        sim.run()
+        return sorted(got)
+
+    assert blast() == ["rack1-s0", "rack2-s1"]
+    (old,) = [s for s in topo.spines if s.mroute_egress(group)]
+    old.failed = True  # what a switch_fail fault window does
+    fabric.reinstall_all()
+    (new,) = [s for s in topo.spines if s.mroute_egress(group)]
+    assert new is not old and old.mroute_egress(group) is None
+    forwarded = new.stats.multicast_forwarded
+    assert blast() == ["rack1-s0", "rack2-s1"]
+    assert new.stats.multicast_forwarded == forwarded + 1
+    assert old.stats.blackholed == 0

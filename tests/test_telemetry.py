@@ -228,3 +228,24 @@ def test_finish_trace_at_the_cap_drops_without_finishing():
     assert session.finish_trace(contexts[2], 999) is None
     assert dropped.value == 2
     assert len(session.traces) == 2
+
+
+def test_context_records_tuples_and_finishes_into_trace_events():
+    from repro.telemetry.context import TraceContext, TraceEvent
+
+    parent = TraceContext(begin_ns=100)
+    parent.record("exchange.x", "exchange", 150)
+    child = parent.fork()
+    child.record("switch.s", "switch", 700)
+    assert parent.events == [("exchange.x", "exchange", 150)]
+    assert child.parent_id == parent.trace_id
+    parent.record("nic.n", "nic", 900)
+    assert len(child.events) == 2  # the fork is independent both ways
+    trace = child.finish(1_000)
+    assert child.done
+    assert trace.events == (
+        TraceEvent("exchange.x", "exchange", 150),
+        TraceEvent("switch.s", "switch", 700),
+    )
+    assert all(type(event) is TraceEvent for event in trace.events)
+    assert sum(span.duration_ns for span in trace.spans()) == trace.rtt_ns == 900

@@ -130,3 +130,55 @@ def test_property_window_counts_sum_to_counter(events, max_windows):
     assert session.metrics.counters["prop.events"].value == expected
     assert session.series.total("prop.events") == expected
     assert sum(session.series.counts_array("prop.events")) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(["set", "add"]),
+            st.sampled_from(["g.a", "g.b", "g.c"]),
+            st.integers(min_value=0, max_value=5_000),  # time step
+            st.integers(min_value=-20, max_value=60),  # value or delta
+        ),
+        min_size=1,
+        max_size=80,
+    ),
+    max_windows=st.integers(min_value=2, max_value=8),
+)
+def test_property_gauge_fast_path_equals_a_plain_model(ops, max_windows):
+    """gauge_set/gauge_add (one cached lookup per sample) leave every
+    gauge and every series exactly where a plain-dict model says, with
+    a window cap small enough that coalescing fires."""
+    window_ns = 100
+    session = TelemetrySession(window_ns=window_ns, max_windows=max_windows)
+    value: dict[str, int] = {}
+    samples: dict[str, list[tuple[int, int]]] = {}
+    now = 0
+    for op, name, step, number in ops:
+        now += step
+        if op == "set":
+            session.gauge_set(name, now, number)
+            value[name] = number
+        else:
+            session.gauge_add(name, now, number)
+            value[name] = value.get(name, 0) + number
+        samples.setdefault(name, []).append((now, value[name]))
+
+    width = window_ns
+    while now // width >= max_windows:
+        width *= 2
+    assert session.series.window_ns == width
+    assert sorted(session.metrics.gauges) == sorted(samples)
+    assert session.series.series_names == sorted(samples)
+    exported = session.series.to_dict()["series"]
+    for name, points in samples.items():
+        gauge = session.metrics.gauges[name]
+        assert gauge.value == value[name]
+        assert gauge.high_watermark == max(0, *(v for _, v in points))
+        windows: dict[int, int] = {}
+        for t, v in points:
+            windows[t // width] = max(windows.get(t // width, v), v)
+        assert exported[name]["kind"] == "max"
+        assert {w["index"]: w["value"] for w in exported[name]["windows"]} == windows
+        assert session.series.total(name) == max(0, *windows.values())
