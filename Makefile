@@ -4,9 +4,10 @@ export PYTHONPATH := src
 .PHONY: verify lint lint-changed test bench bench-pairs scoreboard report \
 	sweep-smoke trace-smoke scenario-smoke
 
-# The one gate: repro lint --changed + ruff (when installed) + tier-1
-# pytest (which includes the full-tree lint gate) + the E01-E24 paper
-# claims + the structural macro-bench check + the sweep smoke matrix.
+# The one gate: ruff (when installed) + tier-1 pytest (which includes
+# the full-tree lint gate) + the E01-E24 paper claims + the structural
+# macro-bench check + the sweep smoke matrix + the scenario and trace
+# smokes.
 verify:
 	$(PYTHON) -m repro verify
 

@@ -14,9 +14,9 @@ queue-drain time that simple arithmetic predicts:
 import numpy as np
 import pytest
 
-from repro.analysis.histogram import LatencyHistogram
 from repro.core import build_system
 from repro.sim.kernel import MILLISECOND
+from repro.telemetry.hdr import LogLinearHistogram
 
 SERVICE_NS = 650  # §3's per-event budget as the normalizer's capacity
 QUIET_RATE = 30_000.0
@@ -71,13 +71,13 @@ def test_burst_tail_latency(benchmark, experiment_log):
 
 def test_tail_histogram_separates_modes(benchmark, experiment_log):
     samples = benchmark.pedantic(_run, args=(_bursty_rate,), rounds=1, iterations=1)
-    hist = LatencyHistogram(min_ns=1_000, max_ns=1e9, bins_per_decade=10)
+    hist = LogLinearHistogram()
     hist.record_many(samples)
     # Mass exists both at the quiet mode (~16 us) and deep in the burst
     # tail (hundreds of us): the histogram spans >1 decade.
-    spread = hist.max_seen / hist.min_seen
+    spread = hist.max / hist.min
     experiment_log.add("E18/tail", "latency spread max/min x",
                        100.0, spread, rel_band=0.9)
     assert spread > 10
-    assert len(hist.bins()) >= 3
-    assert hist.percentile(99) > 3 * hist.percentile(10)
+    assert len(hist.nonzero_buckets()) >= 3
+    assert hist.percentile(0.99) > 3 * hist.percentile(0.10)

@@ -33,7 +33,7 @@ def main() -> None:
     system.run(50 * MILLISECOND)
 
     mw_stats = system.microwave.stats_from(system.microwave.end_a)
-    print(f"\nmarket data  : {system.normalizer.stats.messages_in:,} messages "
+    print(f"\nmarket data  : {system.normalizers[0].stats.messages_in:,} messages "
           f"arbitrated from two legs "
           f"({mw_stats.packets_lost} frames lost to microwave fade, "
           f"zero messages missing)")

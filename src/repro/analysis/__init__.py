@@ -9,11 +9,9 @@ from repro.analysis.windows import (
 from repro.analysis.stats import describe, Description
 from repro.analysis.tables import render_table
 from repro.analysis.results import ExperimentLog, ExperimentRecord
-from repro.analysis.histogram import LatencyHistogram
 
 __all__ = [
     "Description",
-    "LatencyHistogram",
     "ExperimentLog",
     "ExperimentRecord",
     "WindowSummary",

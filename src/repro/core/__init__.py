@@ -9,8 +9,9 @@
 * :mod:`repro.core.merge` — the L1S merge-bottleneck analysis of §4.3
   and the filtering/compression mitigations of §5;
 * :mod:`repro.core.testbed` — fully-simulated end-to-end builds of
-  the §4 designs (exchange → normalizer → strategy → gateway →
-  exchange): one :func:`~repro.core.testbed.assemble` over a pluggable
+  the §4 designs and the cross-colo WAN deployment (exchange →
+  normalizer → strategy → gateway → exchange): one
+  :func:`~repro.core.testbed.assemble` over a pluggable
   :class:`~repro.core.testbed.Fabric` per design, used by the
   round-trip experiments;
 * :mod:`repro.core.api` — the :func:`build_system` facade: every
@@ -34,11 +35,7 @@ from repro.core.designs import (
 )
 from repro.core.merge import MergeAnalysis, analyze_merge, safe_merge_count
 from repro.core.compare import DesignComparison, compare_designs
-from repro.core.testbed import (
-    TradingSystem,
-    momentum_strategies,
-    standalone_nic,
-)
+from repro.core.testbed import TradingSystem
 from repro.core.cloud import CloudFabric
 from repro.core.config import SystemSpec, resolve_design
 from repro.core.run import (
@@ -48,7 +45,6 @@ from repro.core.run import (
     run_spec,
     summarize_run,
 )
-from repro.core.wan_testbed import CrossColoSystem
 from repro.core.multivenue import MultiVenueSystem, build_multi_venue_system
 from repro.core.ticktotrade import HardwareStrategy, build_tick_to_trade_system
 
@@ -58,10 +54,7 @@ __all__ = [
     "available_designs",
     "build_system",
     "register_builder",
-    "momentum_strategies",
-    "standalone_nic",
     "CloudFabric",
-    "CrossColoSystem",
     "MultiVenueSystem",
     "build_multi_venue_system",
     "ExecutedRun",

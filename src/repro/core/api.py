@@ -96,9 +96,9 @@ def build_system(spec: SystemSpec | None = None, **overrides):
 
     Returns the built (not yet run) system: a
     :class:`~repro.core.testbed.TradingSystem` for the four colo
-    designs (each assembled by :func:`~repro.core.testbed.assemble`
-    over its fabric), a :class:`~repro.core.wan_testbed.CrossColoSystem` for
-    ``design="wan"``, a :class:`~repro.core.multivenue.MultiVenueSystem`
+    designs and ``design="wan"`` (each assembled by
+    :func:`~repro.core.testbed.assemble` over its fabric), a
+    :class:`~repro.core.multivenue.MultiVenueSystem`
     for ``design="multivenue"``, and a
     :class:`~repro.core.ticktotrade.TickToTradeSystem` for
     ``design="ticktotrade"``.

@@ -69,17 +69,17 @@ def unknown_field_error(unknown, valid, kind: str) -> ValueError:
 class SystemSpec:
     """Everything needed to build and run one simulated trading system.
 
-    Not every design consumes every knob. Designs 1–4 share one
+    Not every design consumes every knob. All five designs share one
     assembler (:func:`~repro.core.testbed.assemble`), and each design's
     fabric says which firm-stack knobs apply: ``n_normalizers`` applies
-    to designs 1 and 3 only (the design 2 and 4 fabrics run one
+    to designs 1 and 3 only (the design 2, 4 and ``wan`` fabrics run one
     normalizer), ``firm_partitions`` to every design but 2 (no tenant
     multicast), ``equalized_delivery_ns`` to design 2 and
-    ``subscriptions_per_strategy`` to design 4. ``microwave_loss``
-    applies to the cross-colo WAN build (which also fixes its own
-    exchange-side latencies), and ``min_edge_ticks``/``with_risk_gate``
-    to the multi-venue aggregation testbed. Unused knobs are ignored,
-    never rejected, so one spec can sweep across designs.
+    ``subscriptions_per_strategy`` to design 4. ``wan`` pins two
+    exchange partitions and honours ``microwave_loss`` and, like every
+    design, ``matching_latency_ns``. ``min_edge_ticks``/``with_risk_gate``
+    apply to the multi-venue aggregation testbed. Unused knobs are
+    ignored, never rejected, so one spec can sweep across designs.
     """
 
     design: str = "design1"

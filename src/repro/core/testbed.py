@@ -7,8 +7,9 @@ builds the loop once, over a :class:`Fabric` that makes the endpoint
 NICs, wires the network between them, and joins NICs to multicast
 groups. Each design is then a short fabric definition: leaf-spine
 (Design 1, here), the equalized cloud (Design 2,
-:mod:`repro.core.cloud`), layer-1 switches (Design 3) and FPGA-enhanced
-layer-1 switches (Design 4). The round trip the paper analyzes is
+:mod:`repro.core.cloud`), layer-1 switches (Design 3), FPGA-enhanced
+layer-1 switches (Design 4) and the cross-colo metro WAN
+(:mod:`repro.core.wan_testbed`). The round trip the paper analyzes is
 *measured* (via client timestamps echoed to the exchange edge) rather
 than modeled.
 """
@@ -40,6 +41,8 @@ from repro.workload.symbols import SymbolUniverse, make_universe
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cloud import CloudFabric
     from repro.core.config import SystemSpec
+    from repro.exchange.colo import MetroRegion
+    from repro.net.reliable import ReliableChannel
 
 EXCHANGE_ID = 1
 EXCHANGE_KEY = f"exch{EXCHANGE_ID}"  # how strategies address the venue
@@ -52,7 +55,8 @@ class TradingSystem:
     The network handles are filled by the design's fabric: ``topology``
     and ``fabric`` on Design 1, ``cloud`` on Design 2, ``l1_switches``
     and ``merge_units`` on Designs 3 and 4, ``fpga_switches`` on
-    Design 4.
+    Design 4, and the metro, its two feed legs and the order channel's
+    ends on the cross-colo WAN build.
     """
 
     sim: Simulator
@@ -69,6 +73,11 @@ class TradingSystem:
     l1_switches: list[Layer1Switch] = field(default_factory=list)
     merge_units: list[MergeUnit] = field(default_factory=list)
     fpga_switches: list[FilteringL1Switch] = field(default_factory=list)
+    metro: MetroRegion | None = None
+    microwave: Link | None = None
+    fiber: Link | None = None
+    order_channel_firm: ReliableChannel | None = None
+    order_channel_exchange: ReliableChannel | None = None
 
     def run(self, duration_ns: int = 50 * MILLISECOND) -> None:
         """Start the flow and run the simulation for ``duration_ns``."""
@@ -81,45 +90,6 @@ class TradingSystem:
 
     def roundtrip_stats(self) -> LatencyStats:
         return summarize(self.roundtrip_samples())
-
-
-def momentum_strategies(
-    sim: Simulator,
-    universe: SymbolUniverse,
-    md_nics: list[Nic],
-    order_nics: list[Nic],
-    gateway_address: EndpointAddress,
-    recorder: LatencyRecorder,
-    decision_latency_ns: int,
-) -> list[Strategy]:
-    """One momentum strategy per server, each on a hot symbol.
-
-    Shared by :func:`assemble` and the cross-colo WAN builder.
-    """
-    hot = universe.most_active(len(md_nics))
-    strategies: list[Strategy] = []
-    for i, (md, orders) in enumerate(zip(md_nics, order_nics)):
-        symbol = hot[i % len(hot)].name
-        strategies.append(
-            MomentumStrategy(
-                sim,
-                f"strat{i}",
-                md,
-                orders,
-                gateway_address,
-                decision_latency_ns=decision_latency_ns,
-                recorder=recorder,
-                symbol=symbol,
-                trigger_ticks=1,
-            )
-        )
-    return strategies
-
-
-def standalone_nic(sim: Simulator, host: str, nic_name: str) -> Nic:
-    """A NIC with no routed fabric behind it — L1S/cloud builders attach
-    links (or fabric registrations) to it directly."""
-    return Nic(sim, f"nic.{host}:{nic_name}", EndpointAddress(host, nic_name))
 
 
 @dataclass
@@ -167,7 +137,7 @@ class Fabric:
         self.handles: dict[str, object] = {}
 
     def nic(self, host: str, role: str) -> Nic:
-        return standalone_nic(self.sim, host, role)
+        return Nic(self.sim, f"nic.{host}:{role}", EndpointAddress(host, role))
 
     def wire(self, nics: FirmNics, exchange: Exchange) -> None:
         """Build the network between ``nics``; called once all exist."""
@@ -247,11 +217,17 @@ def assemble(spec: SystemSpec, fabric_type: type[Fabric]) -> TradingSystem:
     )
     gateway.connect_exchange(EXCHANGE_KEY, exchange_orders.address)
 
+    # One momentum strategy per server, each on a hot symbol.
     recorder = LatencyRecorder()
-    strategies = momentum_strategies(
-        sim, universe, nics.strat_md, nics.strat_orders, nics.gw_strat.address,
-        recorder, spec.function_latency_ns,
-    )
+    hot = universe.most_active(spec.n_strategies)
+    strategies: list[Strategy] = [
+        MomentumStrategy(
+            sim, f"strat{i}", md, orders, nics.gw_strat.address,
+            decision_latency_ns=spec.function_latency_ns, recorder=recorder,
+            symbol=hot[i % len(hot)].name, trigger_ticks=1,
+        )
+        for i, (md, orders) in enumerate(zip(nics.strat_md, nics.strat_orders))
+    ]
     if fabric.tenant_multicast:
         wanted = spec.firm_partitions
         if fabric.limits_subscriptions and spec.subscriptions_per_strategy is not None:

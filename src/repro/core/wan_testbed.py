@@ -5,270 +5,159 @@ which are in remote colos. To transport data between colos, trading
 firms operate private WANs ... Some firms employ microwave or laser
 links to reduce latency further."
 
-:func:`build_cross_colo_system` places an exchange in Carteret and the
-firm's stack in Mahwah. Market data crosses the metro twice-redundantly
-— a fast, lossy microwave leg and a slow, lossless fiber leg, arbitrated
-at the Mahwah normalizer — and orders return over the microwave path on
-a reliable (TCP-model) channel. The measured remote round trip is
-dominated by two metro traversals, and its composition is checkable
-against the colo geometry.
+The ``wan`` design places the exchange in Carteret and the firm's stack
+in Mahwah. It is one more :class:`~repro.core.testbed.Fabric` under
+:func:`~repro.core.testbed.assemble`. Market data crosses the metro
+twice-redundantly — a fast, lossy microwave leg and a slow, lossless
+fiber leg, arbitrated at the Mahwah normalizer — and orders return over
+the microwave path on a reliable (TCP-model) channel. The measured
+remote round trip is dominated by two metro traversals, and its
+composition is checkable against the colo geometry.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import replace
 
 from repro.core.api import register_builder
-from repro.core.testbed import (
-    EXCHANGE_ID,
-    EXCHANGE_KEY,
-    momentum_strategies,
-    standalone_nic,
-)
-from repro.exchange.colo import MetroRegion, default_nj_metro
+from repro.core.testbed import Fabric, FirmNics, TradingSystem, assemble
+from repro.exchange.colo import default_nj_metro
 from repro.exchange.exchange import Exchange
-from repro.exchange.publisher import alphabetical_scheme, hashed_scheme
-from repro.firm.gateway import OrderGateway
-from repro.firm.normalizer import Normalizer
 from repro.net.addressing import EndpointAddress
-from repro.net.l1switch import Layer1Switch
+from repro.net.headers import frame_bytes_tcp
+from repro.net.l1switch import Layer1Switch, MergeUnit
 from repro.net.link import Link
 from repro.net.nic import Nic
 from repro.net.packet import Packet
 from repro.net.reliable import ReliableChannel
-from repro.sim.kernel import MICROSECOND, MILLISECOND, Simulator
-from repro.timing.latency import LatencyRecorder, LatencyStats, summarize
-from repro.workload.orderflow import OrderFlowGenerator
-from repro.workload.symbols import make_universe
+from repro.sim.kernel import Simulator
 
-
-@dataclass
-class CrossColoSystem:
-    """Handles to the cross-colo deployment."""
-
-    sim: Simulator
-    metro: MetroRegion
-    exchange: Exchange
-    normalizer: Normalizer
-    strategies: list
-    gateway: OrderGateway
-    flow: OrderFlowGenerator
-    recorder: LatencyRecorder
-    microwave: Link
-    fiber: Link
-    order_channel_firm: ReliableChannel
-    order_channel_exchange: ReliableChannel
-
-    def run(self, duration_ns: int = 50 * MILLISECOND) -> None:
-        self.flow.start()
-        self.sim.run(until=self.sim.now + duration_ns)
-
-    def roundtrip_samples(self) -> list[int]:
-        return list(self.exchange.order_entry.roundtrip_samples)
-
-    def roundtrip_stats(self) -> LatencyStats:
-        return summarize(self.roundtrip_samples())
+# assemble's host names -> the site-qualified hosts of the deployment;
+# strategy hosts are "mahwah-" plus their own name.
+_SITE_HOSTS = {"exchange": "carteret-exch", "norm0": "mahwah-norm", "gw0": "mahwah-gw"}
 
 
 class _WanOrderBridge:
-    """Tunnels BOE bytes into a reliable cross-metro channel.
+    """Tunnels BOE bytes through a reliable cross-metro channel.
 
-    One bridge sits at each end of the order path: whatever BOE frame
-    reaches it locally is shipped over the channel; the channel's
-    ``on_message`` (wired by the builder) re-emits it on the far side as
-    if the sender were local.
+    One bridge sits at each end of the order path. Whatever BOE frame
+    reaches it locally is shipped over ``channel``; :meth:`reemit` puts
+    what the channel delivers back on ``link``, addressed to ``local`` as
+    if ``remote`` had sent it from next door.
     """
 
-    def __init__(self, sim, name: str, channel_out: ReliableChannel):
+    def __init__(
+        self,
+        sim: Simulator,
+        name: str,
+        channel: ReliableChannel,
+        remote: EndpointAddress,
+        local: EndpointAddress,
+    ):
         self.sim = sim
         self.name = name
-        self.channel_out = channel_out
+        self.channel = channel
+        self.remote = remote
+        self.local = local
+        self.link: Link | None = None  # set once the local leg is cabled
+        channel.on_message = self.reemit
 
     def handle_packet(self, packet: Packet, ingress: Link) -> None:
         if isinstance(packet.message, (bytes, bytearray)):
-            self.channel_out.send(bytes(packet.message),
-                                  payload_bytes=packet.payload_bytes)
+            self.channel.send(bytes(packet.message), payload_bytes=packet.payload_bytes)
 
-
-def _build_cross_colo(
-    seed: int = 1,
-    n_symbols: int = 12,
-    n_strategies: int = 2,
-    flow_rate_per_s: float = 30_000.0,
-    microwave_loss: float = 0.02,
-    firm_partitions: int = 4,
-    function_latency_ns: int = 2_000,
-    telemetry: bool = False,
-) -> CrossColoSystem:
-    """Exchange in Carteret; normalizer, strategies, gateway in Mahwah."""
-    sim = Simulator(seed=seed, telemetry=telemetry)
-    metro = default_nj_metro()
-    universe = make_universe(n_symbols, seed=seed)
-    recorder = LatencyRecorder()
-
-    # --- Carteret: the exchange ------------------------------------------------
-    exchange_feed_nic = standalone_nic(sim, "carteret-exch", "feed")
-    exchange_orders_nic = standalone_nic(sim, "carteret-exch", "orders")
-    exchange = Exchange(
-        sim, EXCHANGE_KEY, list(universe.names),
-        alphabetical_scheme(2),
-        feed_nic_a=exchange_feed_nic, orders_nic=exchange_orders_nic,
-        coalesce_window_ns=MICROSECOND,
-    )
-
-    # --- market data: Carteret -> Mahwah over microwave + fiber ----------------
-    # An L1S in Carteret taps the feed cross-connect onto both WAN legs.
-    tap = Layer1Switch(sim, "carteret-tap")
-    feed_in = Link(sim, "feed-in", exchange_feed_nic, tap)
-    exchange_feed_nic.attach(feed_in)
-    norm_rx = standalone_nic(sim, "mahwah-norm", "md")
-    norm_rx.promiscuous = True  # WAN legs carry everything; filter in software
-    microwave = metro.wan_link(
-        sim, "carteret", "mahwah", tap, norm_rx,
-        medium="microwave", loss_prob=microwave_loss,
-    )
-    fiber = metro.wan_link(sim, "carteret", "mahwah", tap, norm_rx)
-    tap.set_fanout(feed_in, [microwave, fiber])
-
-    # --- Mahwah: normalizer -> strategies over a local L1S ---------------------
-    norm_tx = standalone_nic(sim, "mahwah-norm", "pub")
-    normalizer = Normalizer(
-        sim, "norm0", EXCHANGE_ID, norm_rx, norm_tx, "norm",
-        hashed_scheme(firm_partitions), function_latency_ns=function_latency_ns,
-    )
-    for group in exchange.publisher.groups:
-        normalizer.feed.subscribe(group)  # arbitration handles both legs
-
-    local_l1s = Layer1Switch(sim, "mahwah-l1s")
-    pub_in = Link(sim, "pub-in", norm_tx, local_l1s)
-    norm_tx.attach(pub_in)
-    strat_md = []
-    strat_orders = []
-    strat_legs = []
-    for i in range(n_strategies):
-        md = standalone_nic(sim, f"mahwah-strat{i}", "md")
-        leg = Link(sim, f"md{i}", local_l1s, md)
-        md.attach(leg)
-        strat_legs.append(leg)
-        strat_md.append(md)
-        strat_orders.append(standalone_nic(sim, f"mahwah-strat{i}", "orders"))
-    local_l1s.set_fanout(pub_in, strat_legs)
-
-    # --- orders: strategies -> gateway locally, then the WAN bridge ------------
-    from repro.net.l1switch import MergeUnit
-
-    gw_strat_nic = standalone_nic(sim, "mahwah-gw", "strat")
-    merge = MergeUnit(sim, "mahwah-merge")
-    gw_in = Link(sim, "gw-in", merge, gw_strat_nic)
-    gw_strat_nic.attach(gw_in)
-    merge.set_output(gw_in)
-    for i, orders in enumerate(strat_orders):
-        leg = Link(sim, f"ord{i}", orders, merge)
-        orders.attach(leg)
-        merge.add_input(leg)
-
-    gateway = OrderGateway(
-        sim, "gw0", gw_strat_nic, standalone_nic(sim, "mahwah-gw", "exch"),
-        function_latency_ns=function_latency_ns,
-    )
-    gateway.connect_exchange(EXCHANGE_KEY, exchange_orders_nic.address)
-
-    # The gateway's exchange-side NIC talks to the WAN bridge, which
-    # tunnels BOE bytes over a reliable channel on the microwave path.
-    wan_mw_firm = Nic(sim, "wan.firm", EndpointAddress("mahwah-wan", "mw"))
-    wan_mw_exch = Nic(sim, "wan.exch", EndpointAddress("carteret-wan", "mw"))
-    wan_link = metro.wan_link(
-        sim, "mahwah", "carteret", wan_mw_firm, wan_mw_exch,
-        medium="microwave", loss_prob=microwave_loss,
-    )
-    wan_mw_firm.attach(wan_link)
-    wan_mw_exch.attach(wan_link)
-    one_way_ns = metro.microwave_latency_ns("mahwah", "carteret")
-    rto_ns = 3 * one_way_ns  # 1.5x the round-trip time
-    channel_firm = ReliableChannel(
-        sim, "rel.firm", wan_mw_firm, wan_mw_exch.address, rto_ns=rto_ns,
-    )
-    channel_exch = ReliableChannel(
-        sim, "rel.exch", wan_mw_exch, wan_mw_firm.address, rto_ns=rto_ns,
-    )
-
-    firm_bridge = _WanOrderBridge(sim, "bridge.mahwah", channel_firm)
-    exch_bridge = _WanOrderBridge(sim, "bridge.carteret", channel_exch)
-    # Firm side: the gateway's exchange NIC links to the bridge.
-    gw_wan_link = Link(sim, "gw-wan", gateway.exchange_nic, firm_bridge)
-    gateway.exchange_nic.attach(gw_wan_link)
-    # Exchange side: its orders NIC links to the exchange bridge.
-    exch_wan_link = Link(sim, "exch-wan", exchange_orders_nic, exch_bridge)
-    exchange_orders_nic.attach(exch_wan_link)
-    # Bridge re-emit wiring: bytes the firm tunnels arrive at the
-    # exchange-side channel and surface in Carteret toward the exchange;
-    # tunneled responses arrive at the firm-side channel and surface in
-    # Mahwah toward the gateway.
-    channel_exch.on_message = lambda payload: exch_bridge_reemit(payload)
-    channel_firm.on_message = lambda payload: firm_bridge_reemit(payload)
-
-    from repro.net.headers import frame_bytes_tcp
-
-    def exch_bridge_reemit(payload: bytes) -> None:
-        # Arrived in Carteret: hand to the exchange's order port as if
-        # the gateway were local.
-        exch_wan_link.send(
+    def reemit(self, payload: bytes) -> None:
+        self.link.send(
             Packet(
-                src=gateway.exchange_nic.address,
-                dst=exchange_orders_nic.address,
+                src=self.remote,
+                dst=self.local,
                 wire_bytes=frame_bytes_tcp(len(payload)),
                 payload_bytes=len(payload),
                 message=payload,
-                created_at=sim.now,
+                created_at=self.sim.now,
             ),
-            exch_bridge,
+            self,
         )
 
-    def firm_bridge_reemit(payload: bytes) -> None:
-        # Arrived back in Mahwah: hand to the gateway.
-        gw_wan_link.send(
-            Packet(
-                src=exchange_orders_nic.address,
-                dst=gateway.exchange_nic.address,
-                wire_bytes=frame_bytes_tcp(len(payload)),
-                payload_bytes=len(payload),
-                message=payload,
-                created_at=sim.now,
-            ),
-            firm_bridge,
+
+class CrossColo(Fabric):
+    """The exchange in Carteret; normalizer, strategies and gateway in Mahwah.
+
+    * market data: a Carteret L1S taps the feed onto a microwave and a
+      fiber leg, both into one promiscuous normalizer NIC that
+      arbitrates them in software;
+    * in Mahwah, an L1S fans the normalizer's feed out to the
+      strategies, and a merge unit combines their orders for the
+      gateway;
+    * orders: a bridge at each end tunnels BOE over a reliable channel
+      on a microwave circuit.
+    """
+
+    one_normalizer = True
+
+    def __init__(self, sim: Simulator, spec):
+        super().__init__(sim, spec)
+        self.metro = default_nj_metro()
+        self.handles["metro"] = self.metro
+
+    def nic(self, host: str, role: str) -> Nic:
+        return super().nic(_SITE_HOSTS.get(host, f"mahwah-{host}"), role)
+
+    def wire(self, nics: FirmNics, exchange: Exchange) -> None:
+        # Market data: Carteret tap -> microwave + fiber -> Mahwah.
+        metro, rx = self.metro, nics.norm_md[0]
+        rx.promiscuous = True  # the WAN legs carry everything
+        tap = Layer1Switch(self.sim, "carteret-tap")
+        feed_in = self.link("feed-in", nics.exchange_feed, tap)
+        microwave = metro.wan_link(
+            self.sim, "carteret", "mahwah", tap, rx,
+            medium="microwave", loss_prob=self.spec.microwave_loss,
         )
+        fiber = metro.wan_link(self.sim, "carteret", "mahwah", tap, rx)
+        tap.set_fanout(feed_in, [microwave, fiber])
+        self.handles.update(microwave=microwave, fiber=fiber)
 
-    strategies = momentum_strategies(
-        sim, universe, strat_md, strat_orders, gw_strat_nic.address,
-        recorder, function_latency_ns,
-    )
-    from repro.net.addressing import MulticastGroup
+        # Inside Mahwah: normalizer -> strategies, strategies -> gateway.
+        local_l1s = Layer1Switch(self.sim, "mahwah-l1s")
+        pub_in = self.link("pub-in", nics.norm_pub[0], local_l1s)
+        local_l1s.set_fanout(
+            pub_in, [self.link(f"md{i}", local_l1s, md) for i, md in enumerate(nics.strat_md)]
+        )
+        merge = MergeUnit(self.sim, "mahwah-merge")
+        merge.set_output(self.link("gw-in", merge, nics.gw_strat))
+        for i, orders in enumerate(nics.strat_orders):
+            merge.add_input(self.link(f"ord{i}", orders, merge))
 
-    for strategy in strategies:
-        for partition in range(firm_partitions):
-            strategy.subscribe(MulticastGroup("norm", partition))
-
-    flow = OrderFlowGenerator(sim, "flow", exchange, universe, flow_rate_per_s)
-    return CrossColoSystem(
-        sim=sim, metro=metro, exchange=exchange, normalizer=normalizer,
-        strategies=strategies, gateway=gateway, flow=flow, recorder=recorder,
-        microwave=microwave, fiber=fiber,
-        order_channel_firm=channel_firm, order_channel_exchange=channel_exch,
-    )
+        # Orders: gateway <-> exchange through the bridges and the channel.
+        firm_end = Nic(self.sim, "wan.firm", EndpointAddress("mahwah-wan", "mw"))
+        exch_end = Nic(self.sim, "wan.exch", EndpointAddress("carteret-wan", "mw"))
+        circuit = metro.wan_link(
+            self.sim, "mahwah", "carteret", firm_end, exch_end,
+            medium="microwave", loss_prob=self.spec.microwave_loss,
+        )
+        firm_end.attach(circuit)
+        exch_end.attach(circuit)
+        rto_ns = 3 * metro.microwave_latency_ns("mahwah", "carteret")  # 1.5x RTT
+        channel_firm = ReliableChannel(
+            self.sim, "rel.firm", firm_end, exch_end.address, rto_ns=rto_ns,
+        )
+        channel_exch = ReliableChannel(
+            self.sim, "rel.exch", exch_end, firm_end.address, rto_ns=rto_ns,
+        )
+        self.handles.update(
+            order_channel_firm=channel_firm, order_channel_exchange=channel_exch,
+        )
+        gw, exch = nics.gw_exch, nics.exchange_orders
+        firm_bridge = _WanOrderBridge(
+            self.sim, "bridge.mahwah", channel_firm, exch.address, gw.address,
+        )
+        exch_bridge = _WanOrderBridge(
+            self.sim, "bridge.carteret", channel_exch, gw.address, exch.address,
+        )
+        firm_bridge.link = self.link("gw-wan", gw, firm_bridge)
+        exch_bridge.link = self.link("exch-wan", exch, exch_bridge)
 
 
 @register_builder("wan")
-def _wan_from_spec(spec) -> CrossColoSystem:
-    # The WAN build fixes its own exchange-side latencies and normalizer
-    # count; the remaining spec knobs map directly.
-    return _build_cross_colo(
-        seed=spec.seed,
-        n_symbols=spec.n_symbols,
-        n_strategies=spec.n_strategies,
-        flow_rate_per_s=spec.flow_rate_per_s,
-        microwave_loss=spec.microwave_loss,
-        firm_partitions=spec.firm_partitions,
-        function_latency_ns=spec.function_latency_ns,
-        telemetry=spec.telemetry,
-    )
-
+def _wan(spec) -> TradingSystem:
+    return assemble(replace(spec, exchange_partitions=2), CrossColo)

@@ -96,9 +96,7 @@ class Histogram(LogLinearHistogram):
 
     __slots__ = ("name",)
 
-    def __init__(self, name: str, max_samples: int | None = None):
-        # ``max_samples`` survives as an accepted-and-ignored kwarg for
-        # callers written against the old reservoir implementation.
+    def __init__(self, name: str):
         super().__init__()
         self.name = name
 
@@ -169,10 +167,10 @@ class MetricsRegistry:
         return instrument
 
     # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
-    def histogram(self, name: str, max_samples: int = 100_000) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         instrument = self._histograms.get(name)
         if instrument is None:
-            instrument = Histogram(name, max_samples=max_samples)
+            instrument = Histogram(name)
             self._histograms[name] = instrument
         return instrument
 

@@ -75,13 +75,7 @@ def test_build_and_run_both_designs():
         spec = SystemSpec(design=design, seed=2, run_ns=15_000_000,
                           n_symbols=6, n_strategies=2)
         system = spec.build_and_run()
-        if design == "wan":
-            # The cross-colo deployment has its own handle type.
-            from repro.core.wan_testbed import CrossColoSystem
-
-            assert isinstance(system, CrossColoSystem)
-        else:
-            assert isinstance(system, TradingSystem)
+        assert isinstance(system, TradingSystem)
         assert system.flow.stats.total > 0
         assert len(system.roundtrip_samples()) > 0
 

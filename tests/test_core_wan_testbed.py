@@ -20,7 +20,7 @@ def system():
 
 
 def test_market_data_crosses_the_metro(system):
-    assert system.normalizer.stats.messages_in > 100
+    assert system.normalizers[0].stats.messages_in > 100
     assert all(s.stats.updates_in > 100 for s in system.strategies)
     # The microwave leg really lost frames; the fiber leg backstopped.
     mw_stats = system.microwave.stats_from(system.microwave.end_a)

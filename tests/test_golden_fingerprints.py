@@ -18,6 +18,12 @@ from repro.sim.kernel import MILLISECOND
 
 RUN_NS = 10 * MILLISECOND
 
+# Both microwave circuits down for 3 ms: the feed leg and the order leg.
+WAN_MICROWAVE_DOWN = (
+    ("kind", "link_down"), ("target", "wan.microwave.*"),
+    ("at_ns", 2 * MILLISECOND), ("duration_ns", 3 * MILLISECOND),
+)
+
 # (design, seed, extra SystemSpec fields) -> sha256 of the run's bytes.
 GOLDEN = {
     ("design1", 1, ()): "6986991bd72813d992666d1243973e4a159672d616a55eaad3dc70f4b223d51a",
@@ -50,12 +56,22 @@ GOLDEN = {
         "0257a63c525fe4887c93fd9b1ff3867ba25fa49bcb8a75961df8a4483fea2e6c",
     ("multivenue", 1, ()):
         "027c7968ea24b022a5c7ef0b561129eaadccd58fa3a8550009adf1d9373e2134",
+    # The WAN with NIC and link names in its counters, and chaos on the
+    # WAN, recorded before the WAN build became a fabric.
+    ("wan", 1, (("telemetry", True),)):
+        "79b08fa081d4f76345098ca113cb089e19fe69cc07bad1f7440af3c642e2c299",
+    ("wan", 1, (("faults", (WAN_MICROWAVE_DOWN,)), ("lifecycle", True))):
+        "f20a13261f5aadd2d11e331106a290176d9f81ab591ae8a909eff92deb4af675",
 }
 
 
 def _case_id(case):
     design, seed, extra = case
-    return "-".join([design, f"seed{seed}", *(f"{k}={v}" for k, v in extra)])
+    fields = (
+        f"{k}={'+'.join(dict(f)['kind'] for f in v)}" if k == "faults" else f"{k}={v}"
+        for k, v in extra
+    )
+    return "-".join([design, f"seed{seed}", *fields])
 
 
 @pytest.mark.parametrize("case", list(GOLDEN), ids=_case_id)

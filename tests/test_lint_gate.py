@@ -12,6 +12,8 @@ but not failing.
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.lint import all_rules, render_findings, run_lint, split_suppressed
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -23,6 +25,14 @@ HOT_PATH_RULE_IDS = {
     "no-string-build-on-hot-path",
     "no-wall-clock-on-hot-path",
 }
+
+
+@pytest.fixture(scope="module")
+def tree_lint():
+    """One timed full-tree run, shared: ``(findings, wall seconds)``."""
+    start = time.perf_counter()
+    findings = run_lint(root=SRC)
+    return findings, time.perf_counter() - start
 
 
 def test_rule_registry_is_complete():
@@ -54,18 +64,18 @@ def test_rule_registry_is_complete():
         assert rule.description, f"{rule.rule_id} has no description"
 
 
-def test_source_tree_is_lint_clean():
-    active, suppressed = split_suppressed(run_lint(root=SRC))
+def test_source_tree_is_lint_clean(tree_lint):
+    active, suppressed = split_suppressed(tree_lint[0])
     assert not active, "\n" + render_findings(active)
     # Suppressions are scoped debt, not a general escape hatch: only the
     # hot-path rule family may carry hot-ok markers in the tree.
     assert {f.rule_id for f in suppressed} <= HOT_PATH_RULE_IDS
 
 
-def test_suppressed_debt_is_counted_not_hidden():
+def test_suppressed_debt_is_counted_not_hidden(tree_lint):
     """The accepted hot-path allocation debt stays visible as suppressed
     findings (the ROADMAP pooling item will burn it down)."""
-    _active, suppressed = split_suppressed(run_lint(root=SRC))
+    _active, suppressed = split_suppressed(tree_lint[0])
     assert suppressed, "expected hot-ok debt to be reported, not dropped"
     assert all(f.suppressed for f in suppressed)
 
@@ -80,12 +90,10 @@ def test_gate_scans_the_whole_tree():
     assert any(m.name == "repro.lint" for m in modules)
 
 
-def test_full_tree_lint_stays_fast():
+def test_full_tree_lint_stays_fast(tree_lint):
     """The gate must never become the slow step of `repro verify`: a
     full-tree run — parse, symbol table, call graph, every rule — has a
     wall-time budget (generous vs the ~2 s typical run, to absorb slow
     CI machines)."""
-    start = time.perf_counter()
-    run_lint(root=SRC)
-    elapsed_s = time.perf_counter() - start
+    elapsed_s = tree_lint[1]
     assert elapsed_s < 20.0, f"full-tree lint took {elapsed_s:.1f}s"
