@@ -1,13 +1,14 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: verify lint lint-changed test bench bench-pairs scoreboard report \
+.PHONY: verify lint lint-changed test bench-pairs scoreboard report \
 	sweep-smoke trace-smoke scenario-smoke
 
 # The one gate: ruff (when installed) + tier-1 pytest (which includes
-# the full-tree lint gate) + the E01-E24 paper claims + the structural
-# macro-bench check + the sweep smoke matrix + the scenario and trace
-# smokes.
+# the full-tree lint gate) + the benchmarks/ suite (E01-E24 paper claims
+# and the component perf rows' asserts) + the benchmark harness's own
+# tests (perfbench/tests) + the sweep smoke matrix + the scenario and
+# trace smokes.
 verify:
 	$(PYTHON) -m repro verify
 
@@ -38,10 +39,6 @@ lint-changed:
 test:
 	$(PYTHON) -m pytest -x -q
 
-# Macro benchmark: whole-testbed events/s, merged into BENCH_perf.json.
-bench:
-	$(PYTHON) -m repro bench
-
 # Alternating pairs of perfbench runs, BASE (a git revision, checked out
 # into a temporary worktree) against the working tree, with each side's
 # quartiles, the pairs won and the claimable/regressed verdicts per
@@ -57,7 +54,7 @@ bench-pairs:
 	$(PYTHON) tools/bench_pairs.py --base $(BASE) --workload $(WORKLOAD) \
 		--pairs $(PAIRS) --seconds $(SECONDS) --seed $(SEED)
 
-# The full pytest-benchmark scoreboard (components, macro, E-series).
+# The full pytest-benchmark scoreboard (component rows and E-series).
 scoreboard:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 

@@ -3,44 +3,16 @@
 Unlike the E-series (which reproduce the paper), these time the hot
 paths of the library with pytest-benchmark's statistics — the numbers a
 downstream user needs to size their own experiments. No paper claims;
-just throughput.
-
-Besides pytest-benchmark's own storage, this module merges its results
-into the machine-readable ``BENCH_perf.json`` at the repo root at the
-end of the run: one entry per bench (median seconds and the bench's
-result value), plus the telemetry-overhead ratio measured by the kernel
-profiler — the cost of observing a run relative to running it dark. The
-macro suite (``test_perf_macro.py`` / ``python -m repro bench``) owns
-the ``macro_events_per_sec`` section of the same file; the shared
-merge-writer keeps both sets of keys intact.
+just throughput, and each row asserts the work it timed was done. They
+write no file: whole-run throughput, layer by layer, is measured by
+``perfbench/`` in same-session pairs (``make bench-pairs``).
 """
 
 import numpy as np
-import pytest
 
-from repro.bench import default_bench_path, update_bench_json
 from repro.exchange.book import OrderBook
 from repro.protocols.pitch import AddOrder, DeleteOrder, PitchFrameCodec
 from repro.sim.kernel import Simulator
-
-_RESULTS: dict[str, dict] = {}
-
-
-@pytest.fixture(scope="module", autouse=True)
-def _write_bench_json():
-    """Collect every bench's numbers and merge them in once, at module end."""
-    yield
-    if _RESULTS:
-        update_bench_json(default_bench_path(), _RESULTS)
-
-
-def _record(name: str, benchmark, result, **extra) -> None:
-    stats = getattr(getattr(benchmark, "stats", None), "stats", None)
-    _RESULTS[name] = {
-        "median_s": stats.median if stats is not None else None,
-        "result": result,
-        **extra,
-    }
 
 
 def test_perf_kernel_event_throughput(benchmark):
@@ -55,7 +27,6 @@ def test_perf_kernel_event_throughput(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result == 100_000
-    _record("kernel_event_throughput", benchmark, result)
 
 
 def _noop():
@@ -65,9 +36,9 @@ def _noop():
 def test_perf_kernel_event_throughput_fast_path(benchmark):
     """The same 100k-event loop through the positional fast path.
 
-    The spread between this entry and ``kernel_event_throughput`` in
-    BENCH_perf.json is the price of the validated keyword wrapper —
-    what a hot caller saves by scheduling through ``schedule_after``.
+    The spread between this row and ``kernel_event_throughput`` is the
+    price of the validated keyword wrapper — what a hot caller saves by
+    scheduling through ``schedule_after``.
     """
 
     def run():
@@ -80,7 +51,6 @@ def test_perf_kernel_event_throughput_fast_path(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result == 100_000
-    _record("kernel_event_throughput_fast_path", benchmark, result)
 
 
 def test_perf_pitch_encode_decode(benchmark):
@@ -100,7 +70,6 @@ def test_perf_pitch_encode_decode(benchmark):
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result == 10_000
-    _record("pitch_encode_decode", benchmark, result)
 
 
 def test_perf_order_book_matching(benchmark):
@@ -129,22 +98,6 @@ def test_perf_order_book_matching(benchmark):
 
     trades = benchmark.pedantic(run, rounds=3, iterations=1)
     assert trades > 1_000
-    _record("order_book_matching", benchmark, trades)
-
-
-def test_perf_end_to_end_simulation_rate(benchmark):
-    """Wall-clock cost of one Design 1 testbed millisecond."""
-    from repro.core import build_system
-    from repro.sim.kernel import MILLISECOND
-
-    def run():
-        system = build_system(design="design1", seed=1)
-        system.run(10 * MILLISECOND)
-        return system.sim.events_executed
-
-    events = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert events > 1_000
-    _record("end_to_end_simulation_rate", benchmark, events)
 
 
 def test_perf_telemetry_overhead_ratio(benchmark):
@@ -153,9 +106,8 @@ def test_perf_telemetry_overhead_ratio(benchmark):
     Runs the same Design 1 testbed dark and instrumented, both under
     the profiler. The dark run must register *zero* telemetry wall time
     (instrumented hot paths do nothing beyond one ``is not None``
-    check); the instrumented run's overhead ratio is written to
-    ``BENCH_perf.json`` so regressions in recording cost are visible
-    run over run.
+    check); the instrumented run's telemetry share stays a fraction of
+    the run.
     """
     from repro.core import build_system
     from repro.sim.kernel import MILLISECOND
@@ -181,18 +133,3 @@ def test_perf_telemetry_overhead_ratio(benchmark):
     assert lit_report.telemetry_events > 0
     assert lit_report.telemetry_wall_ns > 0
     assert 0.0 < lit_report.telemetry_share < 0.9
-
-    wall_ratio = (
-        lit_report.total_wall_ns / dark_report.total_wall_ns
-        if dark_report.total_wall_ns
-        else None
-    )
-    _record(
-        "telemetry_overhead",
-        benchmark,
-        lit_report.telemetry_events,
-        telemetry_share=lit_report.telemetry_share,
-        telemetry_wall_ns=lit_report.telemetry_wall_ns,
-        dark_telemetry_wall_ns=dark_report.telemetry_wall_ns,
-        on_vs_off_wall_ratio=wall_ratio,
-    )

@@ -10,10 +10,9 @@ Commands
 ``trace``       run with telemetry and print the per-hop decomposition
 ``report``      one self-contained run report: hops, series, queues, profile
 ``sweep``       multiprocess scenario matrix -> one comparative artifact
-``bench``       macro benchmark: whole-testbed events/s into BENCH_perf.json
 ``scoreboard``  run every reproduction bench (the full scoreboard)
 ``lint``        run the repro.lint static-analysis rules over the tree
-``verify``      run all the gates (lint, ruff, pytest, paper claims, bench, smokes)
+``verify``      run all the gates (lint, ruff, pytest, paper claims, perfbench, smokes)
 
 Every run-shaped command (``run``, ``trace``, ``report``, ``sweep``)
 accepts ``--spec FILE`` — a :class:`~repro.core.config.SystemSpec` JSON
@@ -161,7 +160,7 @@ def _cmd_scenario(args) -> int:
 def _cmd_trace(args) -> int:
     from dataclasses import replace
 
-    from repro.core.run import execute_spec
+    from repro.core.run import execute_spec, roundtrip_summary
     from repro.sim.kernel import MILLISECOND, format_ns
     from repro.telemetry import decompose, render_decomposition, write_traces_jsonl
 
@@ -195,9 +194,13 @@ def _cmd_trace(args) -> int:
         return 1
     deco = decompose(telemetry.traces)
     print(render_decomposition(deco, title=f"{design} round-trip decomposition"))
-    stats = system.roundtrip_stats()
-    print(f"\nmeasured round trip: median {format_ns(int(stats.median))}, "
-          f"p99 {format_ns(int(stats.p99))} (n={stats.count})")
+    rt = roundtrip_summary(system)
+    if rt is None:
+        print(f"\nmeasured round trip: none ({design} records no "
+              "exchange-edge round trips)")
+    else:
+        print(f"\nmeasured round trip: median {format_ns(int(rt['median_ns']))}, "
+              f"p99 {format_ns(int(rt['p99_ns']))} (n={rt['count']})")
     verdict = "OK" if deco.max_residual_ns <= 1 else "MISMATCH"
     print(f"span-sum check: every trace's spans sum to its measured round "
           f"trip within {deco.max_residual_ns} ns [{verdict}]")
@@ -258,10 +261,12 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     """Chain the gates: ruff (if present), tier-1 pytest (whose
     tests/test_lint_gate.py fails on any active lint finding anywhere in
-    the tree), the E01-E24 paper claims, the structural macro-bench
-    check (bench runs + BENCH_perf.json shape), the sweep smoke matrix
-    with its workers=1-vs-N determinism check, and the scenario and
-    trace smokes."""
+    the tree), the benchmarks/ suite (the E01-E24 paper claims and the
+    component perf rows' correctness asserts), the benchmark harness's
+    own tests (perfbench/tests: every workload's output checks and a
+    fingerprint stable across processes), the sweep smoke matrix with
+    its workers=1-vs-N determinism check, and the scenario and trace
+    smokes."""
     import os
     import shutil
     import subprocess
@@ -279,19 +284,17 @@ def _cmd_verify(args) -> int:
     steps.append(("pytest (tier 1)", [sys.executable, "-m", "pytest", "-x", "-q"]))
     # The paper-claim checks (E01-E24): a refactor that moves a measured
     # claim out of its band fails here, not only at scoreboard time. The
-    # perf benches are left to `make scoreboard`: they rewrite the
-    # committed BENCH_perf.json with this host's numbers.
+    # component perf rows run once each, for their correctness asserts.
     steps.append(
         (
             "paper claims",
-            [
-                sys.executable, "-m", "pytest", "benchmarks", "--benchmark-disable",
-                "--ignore-glob=benchmarks/test_perf_*", "-q",
-            ],
+            [sys.executable, "-m", "pytest", "benchmarks", "--benchmark-disable", "-q"],
         )
     )
+    # The benchmark harness: a traced batch of every workload must pass
+    # its output checks, with a fingerprint stable across processes.
     steps.append(
-        ("bench check", [sys.executable, "-m", "repro", "bench", "--check"])
+        ("perfbench", [sys.executable, "-m", "pytest", "perfbench/tests", "-q"])
     )
     steps.append(
         ("sweep smoke", [sys.executable, "-m", "repro", "sweep", "--smoke"])
@@ -335,52 +338,6 @@ def _cmd_verify(args) -> int:
         print(f"verify: FAILED ({', '.join(failed)})")
         return 1
     print("verify: all gates passed")
-    return 0
-
-
-def _cmd_bench(args) -> int:
-    from pathlib import Path
-
-    from repro import bench
-    from repro.sim.kernel import MILLISECOND
-
-    path = Path(args.json).resolve() if args.json else bench.default_bench_path()
-    if args.check:
-        # The verify gate: a short smoke run proves the harness still
-        # drives every design to completion, then the committed numbers
-        # are checked for shape only — no throughput thresholds, because
-        # the numbers vary with hardware and the structure must not.
-        for design in bench.MACRO_DESIGNS:
-            result = bench.run_macro(
-                design, seed=args.seed, run_ns=bench.SMOKE_RUN_NS, repeats=1
-            )
-            print(f"bench --check: {design}: {result.events:,} events ok")
-        problems = bench.check_bench_json(path)
-        for problem in problems:
-            print(f"bench --check: {problem}")
-        if problems:
-            return 1
-        print(f"bench --check: {path} structure ok")
-        return 0
-
-    results = {}
-    for design in bench.MACRO_DESIGNS:
-        result = bench.run_macro(
-            design,
-            seed=args.seed,
-            run_ns=args.ms * MILLISECOND,
-            repeats=args.repeats,
-        )
-        results[design] = result
-        print(
-            f"{design}: {result.events:,} events in "
-            f"{result.wall_ns / MILLISECOND:.1f} ms "
-            f"-> {result.events_per_sec:,.0f} events/s"
-        )
-    bench.update_bench_json(
-        path, {bench.MACRO_SECTION: bench.macro_section(results)}
-    )
-    print(f"wrote {bench.MACRO_SECTION} ({len(results)} designs) to {path}")
     return 0
 
 
@@ -499,26 +456,12 @@ def main(argv: list[str] | None = None) -> int:
 
     add_sweep_arguments(sw)
 
-    bn = sub.add_parser(
-        "bench",
-        help="macro benchmark: whole-testbed events/s -> BENCH_perf.json",
-    )
-    bn.add_argument("--ms", type=int, default=20, help="simulated ms per run")
-    bn.add_argument("--seed", type=int, default=1)
-    bn.add_argument("--repeats", type=int, default=3, help="best-of-N repeats")
-    bn.add_argument(
-        "--json", help="output path (default: BENCH_perf.json at the repo root)"
-    )
-    bn.add_argument(
-        "--check", action="store_true",
-        help="structural gate: smoke-run every design and validate the "
-             "committed file's keys; writes nothing",
-    )
-
     sub.add_parser("scoreboard", help="run all reproduction benches")
 
     verify = sub.add_parser(
-        "verify", help="run lint + ruff + tier-1 pytest + paper claims + bench check as one gate"
+        "verify",
+        help="run lint + ruff + tier-1 pytest + paper claims + perfbench tests "
+             "as one gate",
     )
     verify.add_argument(
         "--keep-going", action="store_true",
@@ -542,7 +485,6 @@ def main(argv: list[str] | None = None) -> int:
         "trace": _cmd_trace,
         "report": _cmd_report,
         "sweep": _cmd_sweep,
-        "bench": _cmd_bench,
         "scoreboard": _cmd_scoreboard,
         "lint": _cmd_lint,
         "verify": _cmd_verify,

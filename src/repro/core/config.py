@@ -77,9 +77,13 @@ class SystemSpec:
     multicast), ``equalized_delivery_ns`` to design 2 and
     ``subscriptions_per_strategy`` to design 4. ``wan`` pins two
     exchange partitions and honours ``microwave_loss`` and, like every
-    design, ``matching_latency_ns``. ``min_edge_ticks``/``with_risk_gate``
-    apply to the multi-venue aggregation testbed. Unused knobs are
-    ignored, never rejected, so one spec can sweep across designs.
+    design, ``matching_latency_ns``. The two auxiliary testbeds wire
+    themselves and honour fewer fields (besides ``run_ns``): ``multivenue``
+    takes ``seed``, ``n_symbols``, ``firm_partitions``,
+    ``flow_rate_per_s``, ``min_edge_ticks``, ``with_risk_gate`` and
+    ``telemetry``; ``ticktotrade`` takes ``seed`` and ``telemetry``.
+    Unused knobs are ignored, never rejected, so one spec can sweep
+    across designs.
     """
 
     design: str = "design1"

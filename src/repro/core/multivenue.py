@@ -68,9 +68,10 @@ def build_multi_venue_system(
     flow_rate_per_s: float = 25_000.0,
     min_edge_ticks: int = 100,
     with_risk_gate: bool = False,
+    telemetry: bool = False,
 ) -> MultiVenueSystem:
     """Two venues, one arb, one gateway, one compliance view."""
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, telemetry=telemetry)
     universe = make_universe(n_symbols, seed=seed)
     topo = build_leaf_spine(sim, n_racks=3, servers_per_rack=0, n_spines=2)
     norm_leaf, strat_leaf, gw_leaf = topo.leaves[1], topo.leaves[2], topo.leaves[3]
@@ -176,4 +177,5 @@ def _multivenue_from_spec(spec) -> MultiVenueSystem:
         flow_rate_per_s=spec.flow_rate_per_s,
         min_edge_ticks=spec.min_edge_ticks,
         with_risk_gate=spec.with_risk_gate,
+        telemetry=spec.telemetry,
     )

@@ -1,8 +1,8 @@
 """The one way to execute a run: ``run_spec(spec) -> RunResult``.
 
 Every run-shaped entry point in the tree — the CLI's ``run``/``trace``/
-``report`` commands, the macro benchmark, and the ``repro sweep``
-matrix engine — executes through this module, so "build the system,
+``report``/``scenario`` commands, the ``repro sweep`` matrix engine and
+``perfbench``'s workloads — executes through this module, so "build the system,
 run it, summarize what happened" has exactly one implementation.
 
 Two layers:
@@ -63,7 +63,7 @@ def execute_spec(
     """Build ``spec``'s system, run it for ``spec.run_ns``, return the handles.
 
     ``wall_ns`` times the run window only — construction is excluded,
-    matching the macro benchmark's definition of throughput. With
+    so throughput is events per wall second of simulation. With
     ``profile=True`` the kernel profiler is attached before the run
     (the report CLI's mode); pass a preconfigured ``profiler`` instead
     to control its options (e.g. a timeline for the Chrome export).

@@ -108,7 +108,9 @@ class TickToTradeSystem(NamedTuple):
 
 
 def build_tick_to_trade_system(
-    seed: int = 77, run_ns: int | None = 5 * MILLISECOND
+    seed: int = 77,
+    run_ns: int | None = 5 * MILLISECOND,
+    telemetry: bool = False,
 ) -> TickToTradeSystem:
     """Wire the hardware pipeline, drive it, and return the handles.
 
@@ -119,7 +121,7 @@ def build_tick_to_trade_system(
     to get the wired-but-unrun system (what the facade's spec adapter
     does; drive it with :meth:`TickToTradeSystem.run`).
     """
-    sim = Simulator(seed=seed)
+    sim = Simulator(seed=seed, telemetry=telemetry)
     exchange_feed = _hardware_nic(sim, "exchange", "feed")
     exchange_orders = _hardware_nic(sim, "exchange", "orders")
     strat_md = _hardware_nic(sim, "hft", "md")
@@ -174,5 +176,7 @@ def build_tick_to_trade_system(
 @register_builder("ticktotrade")
 def _ticktotrade_from_spec(spec) -> TickToTradeSystem:
     # The hardware pipeline fixes its own topology and workload; only
-    # the seed maps. Returned unrun, like every facade builder.
-    return build_tick_to_trade_system(seed=spec.seed, run_ns=None)
+    # the seed and telemetry map. Returned unrun, like every facade builder.
+    return build_tick_to_trade_system(
+        seed=spec.seed, run_ns=None, telemetry=spec.telemetry
+    )

@@ -17,8 +17,8 @@ Scope notes:
   escape hatch for intentional upward references (the kernel
   instantiating a profiler, gap-fill reaching into the feed handler).
 * Imports inside ``if TYPE_CHECKING:`` are annotation-only and skipped.
-* Modules directly under ``repro`` (``repro``, ``repro.bench``,
-  ``repro.__main__``) are the application layer: they may import
+* Modules directly under ``repro`` (``repro``, ``repro.__main__``) are
+  the application layer: they may import
   anything, and nothing may be above them.
 * ``repro.lint`` imports nothing from the simulation — the analyzer
   must stay runnable on a broken tree.

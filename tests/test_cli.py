@@ -87,6 +87,16 @@ def test_trace_command_accepts_aliases(capsys):
     assert "design3 round-trip decomposition" in out
 
 
+def test_trace_command_multivenue_has_no_exchange_roundtrips(capsys):
+    """The two-venue testbed traces its hops but records no exchange-edge
+    round trips; trace says so instead of failing."""
+    assert main(["trace", "--design", "multivenue", "--ms", "10"]) == 0
+    out = capsys.readouterr().out
+    assert "multivenue round-trip decomposition" in out
+    assert "measured round trip: none" in out
+    assert "[OK]" in out
+
+
 def test_trace_command_rejects_unknown_design(capsys):
     assert main(["trace", "--design", "nope"]) == 2
     assert "unknown design" in capsys.readouterr().out

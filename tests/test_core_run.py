@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.config import ALL_DESIGNS, SystemSpec
+from repro.core.config import ALL_DESIGNS, AUX_DESIGNS, SystemSpec
 from repro.core.run import (
     ExecutedRun,
     RunResult,
@@ -122,6 +122,12 @@ def test_multivenue_summarizes_without_roundtrips():
     assert result.roundtrip is None
     assert any("round-trip" in note for note in result.notes)
     assert result.events_executed > 0
+
+
+@pytest.mark.parametrize("design", AUX_DESIGNS)
+def test_aux_designs_honour_telemetry(design):
+    result = run_spec(small_spec(design, telemetry=True))
+    assert result.counters
 
 
 def test_runresult_json_is_plain_data():

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.__main__ import main
+from repro.core.config import AUX_DESIGNS
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +96,14 @@ def test_text_report_renders_all_sections(capsys):
         "[OK]",
     ):
         assert needle in out, f"missing {needle!r}"
+
+
+@pytest.mark.parametrize("design", AUX_DESIGNS)
+def test_aux_design_report_renders(design, capsys):
+    """The auxiliary testbeds honour spec.telemetry, so the report has a
+    telemetry session to read."""
+    assert main(["report", "--design", design, "--ms", "3"]) == 0
+    assert f"run report: {design}" in capsys.readouterr().out
 
 
 def test_series_jsonl_export(tmp_path, capsys):
