@@ -25,8 +25,8 @@ Subpackages
 ``repro.exchange``   matching engine, feed publisher, order-entry port
 ``repro.firm``       normalizers, strategies, gateways, NBBO, risk
 ``repro.workload``   calibrated workload generators (Table 1, Figure 2)
-``repro.timing``     clocks, PTP sync, capture taps, latency accounting
-``repro.mgmt``       inventory, placement, partition & capacity planning
+``repro.timing``     latency accounting
+``repro.mgmt``       placement, partition & capacity planning, migration
 ``repro.core``       the three designs, budgets, merge analysis, testbeds
 ``repro.telemetry``  opt-in tracing + metrics (per-hop round-trip spans)
 ``repro.analysis``   window statistics, tables, experiment records

@@ -39,15 +39,11 @@ from repro.firm.partitioning import (
 )
 from repro.firm.nbbo import NbboBuilder, NbboState
 from repro.firm.risk import PositionTracker, RiskChecker, RiskVerdict
-from repro.firm.bookview import DepthView, SnapshotClient, SnapshotServer
 from repro.firm.replay import ReplayDriver, UpdateRecorder, compare_decisions
 
 __all__ = [
     "ArbitrageStrategy",
-    "DepthView",
     "ReplayDriver",
-    "SnapshotClient",
-    "SnapshotServer",
     "UpdateRecorder",
     "compare_decisions",
     "FeedHandler",

@@ -297,21 +297,6 @@ class Normalizer(Component):
         """The normalizer's current view of ``symbol``'s BBO."""
         return self._bbo.get(symbol)
 
-    # lint: hot-ok(no-alloc-on-hot-path) — pooling is a ROADMAP item
-    def depth_snapshot(self, symbol: str, depth: int = 5):
-        """Top-``depth`` price levels per side, best first.
-
-        Returns ``(bids, asks)`` as lists of (price, aggregate size).
-        This is the recovery payload late joiners and gap-declaring
-        receivers request instead of replaying the whole day.
-        """
-        levels = self._levels.get(symbol)
-        if levels is None:
-            return [], []
-        bids = sorted(levels["B"].items(), key=lambda kv: -kv[0])[:depth]
-        asks = sorted(levels["S"].items(), key=lambda kv: kv[0])[:depth]
-        return bids, asks
-
     @property
     def known_symbols(self) -> list[str]:
         return list(self._levels)

@@ -1,20 +1,19 @@
-"""Cluster management: inventory, placement, partition planning, capacity.
+"""Cluster management: placement, partition planning, capacity, migration.
 
 §5 asks for cloud-style automation of "provisioning, placement, and
 scaling" that optimizes latency above other criteria. This package is
 that layer for the simulated firm:
 
-* :mod:`repro.mgmt.inventory` — cages, racks, servers, and their
-  space/power limits (Figure 1(c)'s practical constraints);
 * :mod:`repro.mgmt.placement` — latency-first placement of normalizers,
   strategies, and gateways onto racks;
 * :mod:`repro.mgmt.partitions` — feed → multicast-group planning under
   switch table budgets;
 * :mod:`repro.mgmt.capacity` — what-if projections of workload growth
-  against hardware generations.
+  against hardware generations;
+* :mod:`repro.mgmt.feedmap` — interest-clustered symbol → group mapping;
+* :mod:`repro.mgmt.migration` — bare-metal migration planning.
 """
 
-from repro.mgmt.inventory import Cage, Rack, ServerSpec
 from repro.mgmt.placement import (
     Flow,
     Placement,
@@ -33,7 +32,6 @@ from repro.mgmt.feedmap import (
 from repro.mgmt.migration import MigrationParams, MigrationPlan, plan_migration
 
 __all__ = [
-    "Cage",
     "MigrationParams",
     "MigrationPlan",
     "evaluate_mapping",
@@ -44,8 +42,6 @@ __all__ = [
     "Flow",
     "PartitionPlan",
     "Placement",
-    "Rack",
-    "ServerSpec",
     "evaluate_placement",
     "group_by_function_placement",
     "optimize_placement",

@@ -4,8 +4,8 @@ A :class:`Packet` carries an application-level ``message`` (any object —
 usually a decoded PITCH/BOE message or a raw frame payload) plus the
 metadata the datapath models need: wire size, source/destination address,
 and a timestamp trail. The wire size is what drives serialization delay
-and queue occupancy; the timestamp trail is what taps and the latency
-accounting layer read.
+and queue occupancy; the timestamp trail records each hop's (location,
+time) stamp.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class Packet:
         return self.header_bytes / self.wire_bytes
 
     def stamp(self, where: str, when: int) -> None:
-        """Append a trail entry; used by taps and latency accounting."""
+        """Append a trail entry."""
         self.trail.append((where, when))
 
     def first_stamp(self, prefix: str) -> int | None:

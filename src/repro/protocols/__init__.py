@@ -47,7 +47,6 @@ from repro.protocols.boe import (
 )
 from repro.protocols.seqfeed import FeedArbiter, SequencedPublisher
 from repro.protocols.itf import NormalizedUpdate, ItfCodec
-from repro.protocols.gapfill import GapFillClient, GapProxy
 from repro.protocols.ctp import (
     CtpHeader,
     decode_frame as decode_ctp_frame,
@@ -57,8 +56,6 @@ from repro.protocols.ctp import (
 
 __all__ = [
     "AddOrder",
-    "GapFillClient",
-    "GapProxy",
     "CtpHeader",
     "decode_ctp_frame",
     "encode_ctp_frame",

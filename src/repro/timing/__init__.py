@@ -1,4 +1,4 @@
-"""Time: drifting clocks, PTP-style sync, capture taps, latency accounting.
+"""Time: latency accounting.
 
 §2: "For both monitoring and research, trading firms want to record their
 network traffic with precise timestamps. Timestamps are used to calculate
@@ -6,26 +6,15 @@ a strategy's latency by subtracting the time at which the strategy sends
 an order from the time at which the strategy's most recent input event
 arrived. ... Some trading firms desire precision below 100 picoseconds."
 
-This package provides the measurement plane: per-host oscillators that
-drift, a PTP-like synchronization loop that disciplines them (and whose
-residual error can be compared against the 100 ps aspiration), passive
-taps that timestamp packets in flight, and the latency-attribution logic
-that turns timestamp trails into the paper's latency numbers.
+This package provides the latency-attribution logic that turns
+timestamp trails into the paper's latency numbers. The simulator's clock
+is exact integer nanoseconds, so every timestamp is already true time.
 """
 
-from repro.timing.clock import DriftingClock
-from repro.timing.ptp import PtpSync, SyncQuality
-from repro.timing.capture import CaptureAppliance, CaptureRecord, CaptureTap
 from repro.timing.latency import LatencyRecorder, LatencyStats, summarize
 
 __all__ = [
-    "CaptureAppliance",
-    "CaptureRecord",
-    "CaptureTap",
-    "DriftingClock",
     "LatencyRecorder",
     "LatencyStats",
-    "PtpSync",
-    "SyncQuality",
     "summarize",
 ]

@@ -1,5 +1,7 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import re
+
 import pytest
 
 from repro.__main__ import main
@@ -95,6 +97,17 @@ def test_trace_command_multivenue_has_no_exchange_roundtrips(capsys):
     assert "multivenue round-trip decomposition" in out
     assert "measured round trip: none" in out
     assert "[OK]" in out
+
+
+def test_trace_command_ticktotrade_names_its_untraced_round_trips(capsys):
+    """The hardware tick-to-trade pipeline completes round trips that
+    carry no trace; trace counts them instead of claiming none completed."""
+    assert main(["trace", "--design", "ticktotrade", "--ms", "10"]) == 1
+    out = capsys.readouterr().out
+    assert "no round trips completed" not in out
+    assert re.search(r"ticktotrade completed [1-9]\d* round trips but carries "
+                     r"no trace contexts", out)
+    assert "repro run --design ticktotrade" in out
 
 
 def test_trace_command_rejects_unknown_design(capsys):

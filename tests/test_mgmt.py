@@ -1,10 +1,9 @@
-"""Tests for inventory, placement, partition planning, and capacity."""
+"""Tests for placement, partition planning, and capacity."""
 
 import numpy as np
 import pytest
 
 from repro.mgmt.capacity import first_overflow_year, project_capacity
-from repro.mgmt.inventory import Cage, Rack, ServerSpec
 from repro.mgmt.partitions import (
     FeedDemand,
     partitions_for_rate,
@@ -19,61 +18,6 @@ from repro.mgmt.placement import (
     random_placement,
 )
 from repro.workload.growth import GrowthModel
-
-
-class TestInventory:
-    def test_rack_space_and_power_accounting(self):
-        rack = Rack("r1", rack_units=4, power_watts=2_000)
-        rack.install("h1", ServerSpec("1u", rack_units=1, watts=500))
-        rack.install("h2", ServerSpec("2u", rack_units=2, watts=900))
-        assert rack.used_units == 3
-        assert rack.free_units == 1
-        assert rack.free_watts == 600
-
-    def test_rack_rejects_overflow(self):
-        rack = Rack("r1", rack_units=2, power_watts=10_000)
-        rack.install("h1", ServerSpec("2u", rack_units=2))
-        with pytest.raises(ValueError):
-            rack.install("h2", ServerSpec("1u"))
-
-    def test_power_is_a_binding_constraint_too(self):
-        """Figure 1(c): space AND power impose practical restrictions."""
-        rack = Rack("r1", rack_units=42, power_watts=1_000)
-        rack.install("h1", ServerSpec("hot", rack_units=1, watts=900))
-        assert not rack.fits(ServerSpec("hot2", rack_units=1, watts=200))
-
-    def test_duplicate_hostname_rejected(self):
-        rack = Rack("r1")
-        rack.install("h1", ServerSpec("1u"))
-        with pytest.raises(ValueError):
-            rack.install("h1", ServerSpec("1u"))
-
-    def test_remove_frees_space(self):
-        rack = Rack("r1", rack_units=1)
-        rack.install("h1", ServerSpec("1u"))
-        rack.remove("h1")
-        rack.install("h2", ServerSpec("1u"))
-        with pytest.raises(KeyError):
-            rack.remove("h1")
-
-    def test_cage_first_fit_and_lookup(self):
-        cage = Cage("colo-cage")
-        cage.add_rack(Rack("r1", rack_units=1))
-        cage.add_rack(Rack("r2", rack_units=2))
-        first = cage.place_anywhere("h1", ServerSpec("1u"))
-        second = cage.place_anywhere("h2", ServerSpec("1u"))
-        assert first.name == "r1"
-        assert second.name == "r2"
-        assert cage.rack_of("h2").name == "r2"
-        assert cage.rack_of("ghost") is None
-        assert cage.total_servers == 2
-
-    def test_oversubscribed_cage_raises(self):
-        cage = Cage("full")
-        cage.add_rack(Rack("r1", rack_units=1))
-        cage.place_anywhere("h1", ServerSpec("1u"))
-        with pytest.raises(ValueError):
-            cage.place_anywhere("h2", ServerSpec("1u"))
 
 
 def _workload(n_strategies=12, n_normalizers=2, n_gateways=2):

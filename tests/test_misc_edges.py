@@ -171,7 +171,6 @@ class TestColdImports:
             "repro.sim", "repro.net", "repro.protocols", "repro.exchange",
             "repro.firm", "repro.workload", "repro.timing", "repro.mgmt",
             "repro.core", "repro.analysis", "repro.mgmt.capacity",
-            "repro.protocols.gapfill",
         ],
     )
     def test_cold_import(self, module):
